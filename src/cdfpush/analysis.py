@@ -47,8 +47,12 @@ def sup_distance(F, G, m: int = DEFAULT_GRID_SIZE) -> float:
     excluded from the maximum (their difference is zero by construction).
     """
     grid = standard_grid(m)
-    f = np.asarray(F(grid), dtype=float)
-    g = np.asarray(G(grid), dtype=float)
+    return _sup_gap(np.asarray(F(grid), dtype=float), np.asarray(G(grid), dtype=float))
+
+
+def _sup_gap(f: np.ndarray, g: np.ndarray) -> float:
+    """The maximum of |f - g| behind `sup_distance`, on values already
+    evaluated over one grid."""
     diff = np.abs(f - g)
     if f[0] == g[0] and f[0] in (0.0, 1.0):
         diff[0] = 0.0
@@ -129,17 +133,13 @@ def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> ConvergenceR
     if int(n_max) < 2:
         raise ParameterError(f"n_max must be >= 2; got {n_max!r}")
     uniform = DistSpec("uniform").cdf()
-    kumaraswamy = DistSpec("kumaraswamy", 0.5, 0.5).cdf()
-    arcsine = DistSpec("arcsine").cdf()
+    grid = standard_grid(m)
+    references = [
+        np.asarray(F(grid), dtype=float)
+        for F in (uniform, DistSpec("kumaraswamy", 0.5, 0.5).cdf(), DistSpec("arcsine").cdf())
+    ]
     rows = []
     for n in range(int(n_max) + 1):
-        iterate = iterate_pushforward(uniform, r, n)
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                to_uniform=sup_distance(iterate, uniform, m),
-                to_kumaraswamy=sup_distance(iterate, kumaraswamy, m),
-                to_arcsine=sup_distance(iterate, arcsine, m),
-            )
-        )
+        values = np.asarray(iterate_pushforward(uniform, r, n)(grid), dtype=float)
+        rows.append(ConvergenceRow(n, *(_sup_gap(values, ref) for ref in references)))
     return ConvergenceReport(rows=tuple(rows), grid_size=int(m), r=float(r))

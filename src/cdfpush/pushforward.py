@@ -35,7 +35,8 @@ __all__ = [
     "validate_map_param",
 ]
 
-# beyond this depth one exact evaluation costs 2**n kernel calls
+# beyond this depth one exact evaluation costs 2**n base evaluations per
+# point, reached through 2**n - 1 preimage pairs of the depth-first `_pull`
 EXACT_ITERATION_LIMIT = 12
 DEFAULT_GRID_SIZE = 4096
 # rounding slack allowed before a tabulated dip counts as a real failure
@@ -73,6 +74,18 @@ def grid_coordinate(y):
     return _restore((2.0 / np.pi) * np.arcsin(np.sqrt(arr)), scalar)
 
 
+def _half_width(t: np.ndarray, rr: float) -> np.ndarray:
+    """sqrt(1/4 - t/r) for points t <= r/4."""
+    return np.sqrt(0.25 - t / rr)
+
+
+def _preimages(t: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both preimages (lower, upper) of validated points t <= r/4, in the
+    cancellation-free form documented at `preimage_pair`."""
+    hi = 0.5 + _half_width(t, rr)
+    return (t / rr) / hi, hi
+
+
 def q_r(r, y):
     """Half-width sqrt(1/4 - y/r) of the preimage pair around 1/2.
 
@@ -82,7 +95,7 @@ def q_r(r, y):
     arr, scalar = _as_unit_array(y)
     out = np.zeros_like(arr)
     mask = arr <= rr / 4.0
-    out[mask] = np.sqrt(0.25 - arr[mask] / rr)
+    out[mask] = _half_width(arr[mask], rr)
     return _restore(out, scalar)
 
 
@@ -95,13 +108,36 @@ def preimage_pair(r, y):
     """
     rr = validate_map_param(r)
     arr, scalar = _as_unit_array(y)
-    quarter = rr / 4.0
-    q = np.zeros_like(arr)
-    mask = arr <= quarter
-    q[mask] = np.sqrt(0.25 - arr[mask] / rr)
-    hi = 0.5 + q
-    lo = np.where(mask, (arr / rr) / hi, 0.5)
+    lo = np.full_like(arr, 0.5)
+    hi = np.full_like(arr, 0.5)
+    mask = arr <= rr / 4.0
+    lo[mask], hi[mask] = _preimages(arr[mask], rr)
     return _restore(lo, scalar), _restore(hi, scalar)
+
+
+def _pull(F, rr: float, n: int, arr: np.ndarray) -> np.ndarray:
+    """Values at arr of the n-fold pushforward of F, depth first.
+
+    arr must already be validated: preimages of points in [0, 1] stay
+    in [0, 1], so no level checks its domain again.  Each level splits
+    the points below the peak r/4 into one preimage pair and recurses
+    on each branch; points at or above the peak are exactly 1.
+    """
+    if n == 0:
+        return np.asarray(F(arr), dtype=float)
+    below = arr < rr / 4.0
+    # before the `all` test: an empty array passes it
+    if not below.any():
+        return np.ones_like(arr)
+    whole = below.all()
+    lo, hi = _preimages(arr if whole else arr[below], rr)
+    v = _pull(F, rr, n - 1, lo) + 1.0
+    v -= _pull(F, rr, n - 1, hi)
+    if whole:
+        return v
+    out = np.ones_like(arr)
+    out[below] = v
+    return out
 
 
 def pushforward_cdf(F, r) -> Cdf:
@@ -110,22 +146,14 @@ def pushforward_cdf(F, r) -> Cdf:
     F may be any callable CDF (closed form, grid, or a previous
     pushforward); evaluation failures inside F propagate.  The result is
     exactly 1 for y >= r/4, short-circuited before any floating
-    arithmetic on those points.
+    arithmetic on those points.  This is the n = 1 case of the kernel
+    behind the exact strategy of `iterate_pushforward`.
     """
     rr = validate_map_param(r)
-    quarter = rr / 4.0
     tag = getattr(F, "provenance", "callable")
 
     def kernel(arr: np.ndarray) -> np.ndarray:
-        out = np.ones_like(arr)
-        mask = arr < quarter
-        if mask.any():
-            t = arr[mask]
-            q = np.sqrt(0.25 - t / rr)
-            hi = 0.5 + q
-            lo = (t / rr) / hi
-            out[mask] = np.asarray(F(lo)) + 1.0 - np.asarray(F(hi))
-        return out
+        return _pull(F, rr, 1, arr)
 
     return Cdf(kernel, provenance=f"pushforward[r={rr:g}]({tag})")
 
@@ -221,9 +249,9 @@ def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> GridCdf
 class IterateCdf:
     """The n-fold pushforward of a base CDF, realized as a callable.
 
-    `strategy` records how evaluation happens: "exact" composes the
-    pushforward recursion (cost 2**n base evaluations per point) while
-    "grid" re-tabulates after every step on a standard grid.
+    `strategy` records how evaluation happens: "exact" runs the
+    depth-first pushforward recursion (2**n base evaluations per point)
+    while "grid" re-tabulates after every step on a standard grid.
     """
 
     base: Cdf
@@ -255,6 +283,10 @@ def iterate_pushforward(
     and grid re-tabulation beyond; "exact" above the limit raises
     ResourceLimitError instead of attempting a 2**n-fold evaluation.
     n = 0 returns the base CDF semantically unchanged.
+
+    The exact iterate validates its points once and hands them to one
+    depth-first recursion over the base kernel; its values are bit for
+    bit those of the n-fold composition of `pushforward_cdf`.
     """
     rr = validate_map_param(r)
     steps = int(n)
@@ -275,9 +307,15 @@ def iterate_pushforward(
     if steps == 0:
         realized = base
     elif resolved == "exact":
-        realized = base
+        fn = base.fn
+
+        def kernel(arr: np.ndarray) -> np.ndarray:
+            return _pull(fn, rr, steps, arr)
+
+        provenance = base.provenance
         for _ in range(steps):
-            realized = pushforward_cdf(realized, rr)
+            provenance = f"pushforward[r={rr:g}]({provenance})"
+        realized = Cdf(kernel, provenance=provenance)
     else:
         table = tabulate(base, grid_size)
         for _ in range(steps):

@@ -11,6 +11,7 @@ from cdfpush import (
     cdf_violation,
     convergence_table,
     fixed_point_residual,
+    iterate_pushforward,
     ks_band,
     ks_statistic,
     sample,
@@ -126,6 +127,17 @@ class TestConvergenceTable:
         assert all(to_a[n] > to_a[n + 1] for n in range(1, 8))
         assert all(d > 1e-7 for d in to_a)
         assert to_a[6] < 1e-3
+
+    @pytest.mark.parametrize("r", [4.0, 3.7])
+    def test_rows_equal_sup_distances(self, r):
+        # one evaluation per iterate must give the distances of the
+        # public one-pair-at-a-time function, bit for bit
+        report = convergence_table(13, m=512, r=r)
+        for row in report.rows:
+            iterate = iterate_pushforward(U, r, row.n)
+            assert row.to_uniform == sup_distance(iterate, U, 512)
+            assert row.to_kumaraswamy == sup_distance(iterate, K_HALF, 512)
+            assert row.to_arcsine == sup_distance(iterate, A, 512)
 
     def test_depth_validation(self):
         with pytest.raises(ParameterError):

@@ -189,6 +189,10 @@ class TestIterate:
         y = standard_grid(4096)
         assert np.max(np.abs(np.asarray(exact(y)) - np.asarray(grid(y)))) <= 1e-6
 
+    def test_exact_provenance_nests_one_pushforward_per_step(self):
+        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 2)
+        assert it.provenance == "pushforward[r=4](pushforward[r=4](closed-form:uniform))"
+
     def test_grid_strategy_support_shrinkage(self):
         it = iterate_pushforward(DistSpec("uniform").cdf(), 2.0, 3, strategy="grid")
         assert it(0.75) == 1.0 and it(0.5) == 1.0
@@ -281,3 +285,73 @@ class TestPreimageIdentities:
         lo, hi = preimage_pair(4.0, y)
         residual = np.max(np.abs((np.sqrt(hi) - np.sqrt(lo)) ** 2 - (1.0 - np.sqrt(y))))
         assert residual <= 1e-12
+
+
+EXACT_STARTS = [
+    DistSpec("uniform"),
+    DistSpec("arcsine"),
+    DistSpec("kumaraswamy", 2.0, 3.0),
+    DistSpec("beta", 2.5, 3.5),
+]
+
+
+def _kernel_grid(r):
+    """Knots including 0, the peak r/4, points just above it, and 1."""
+    y = np.append(standard_grid(256), [r / 4.0, np.nextafter(r / 4.0, 2.0)])
+    return np.unique(np.clip(y, 0.0, 1.0))
+
+
+class TestExactKernel:
+    """The exact strategy of `iterate_pushforward` runs one depth-first
+    recursion; it must agree bit for bit with composing the one-step
+    operator, which validates and evaluates level by level."""
+
+    @pytest.mark.parametrize("spec", EXACT_STARTS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
+    def test_matches_composed_pushforward(self, spec, r):
+        base = spec.cdf()
+        y = _kernel_grid(r)
+        composed = base
+        for n in range(1, 9):
+            composed = pushforward_cdf(composed, r)
+            exact = iterate_pushforward(base, r, n, strategy="exact")
+            assert np.array_equal(exact(y), composed(y)), n
+            assert exact(0.3) == composed(0.3)
+            assert isinstance(exact(0.3), float)
+
+    @pytest.mark.parametrize("spec", EXACT_STARTS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("r", [4.0, 3.5])
+    def test_one_step_is_the_operator_formula(self, spec, r):
+        # G(y) = F(lo) + 1 - F(hi) below the peak, exactly 1 from it on
+        F = spec.cdf()
+        y = _kernel_grid(r)
+        below = y < r / 4.0
+        lo, hi = preimage_pair(r, y[below])
+        expected = np.ones_like(y)
+        expected[below] = F(lo) + 1.0 - F(hi)
+        assert np.array_equal(pushforward_cdf(F, r)(y), expected)
+
+    def test_empty_input(self):
+        exact = iterate_pushforward(DistSpec("beta", 2.5, 3.5).cdf(), 3.5, 6, strategy="exact")
+        out = exact(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, float("nan"), float("inf")])
+    def test_entry_checks_domain(self, bad):
+        exact = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 5, strategy="exact")
+        with pytest.raises(DomainError):
+            exact(bad)
+        with pytest.raises(DomainError):
+            exact(np.array([0.2, bad]))
+
+    def test_matches_tent_map_closed_form(self):
+        # Ulam-von Neumann: x = sin^2(pi*u/2) conjugates the map at r = 4
+        # to the tent map, so D_n of the uniform is, with u = (2/pi)*arcsin(sqrt(y)),
+        # 2*sin^2(pi*u/2^(n+1)) + sin(pi*u/2^n)*cot(pi/2^n)
+        y = standard_grid(4096)
+        u = (2.0 / np.pi) * np.arcsin(np.sqrt(y))
+        base = DistSpec("uniform").cdf()
+        for n in range(1, 13):
+            closed = 2.0 * np.sin(np.pi * u / 2 ** (n + 1)) ** 2 + np.sin(np.pi * u / 2**n) / np.tan(np.pi / 2**n)
+            exact = iterate_pushforward(base, 4.0, n, strategy="exact")
+            assert np.max(np.abs(exact(y) - closed)) <= 1e-9, n
