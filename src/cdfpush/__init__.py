@@ -17,11 +17,8 @@ from .analysis import (
 from .distributions import (
     Cdf,
     DistSpec,
-    cdf_arcsine,
     cdf_beta,
     cdf_kumaraswamy,
-    cdf_uniform,
-    quantile_kumaraswamy,
     sample,
 )
 from .errors import (
@@ -38,7 +35,6 @@ from .pushforward import (
     EXACT_ITERATION_LIMIT,
     GridCdf,
     IterateCdf,
-    grid_coordinate,
     iterate_pushforward,
     preimage_pair,
     pushforward_cdf,
@@ -48,7 +44,6 @@ from .pushforward import (
     validate_map_param,
 )
 from .simulate import (
-    EmpiricalCdf,
     ErgodicRun,
     Trajectory,
     ensemble_push,
@@ -69,7 +64,6 @@ __all__ = [
     "DistSpec",
     "DomainError",
     "EXACT_ITERATION_LIMIT",
-    "EmpiricalCdf",
     "ErgodicRun",
     "GridCdf",
     "IterateCdf",
@@ -78,16 +72,13 @@ __all__ = [
     "ParameterError",
     "ResourceLimitError",
     "Trajectory",
-    "cdf_arcsine",
     "cdf_beta",
     "cdf_kumaraswamy",
-    "cdf_uniform",
     "cdf_violation",
     "convergence_table",
     "ensemble_push",
     "ergodic_empirical",
     "fixed_point_residual",
-    "grid_coordinate",
     "iterate_pushforward",
     "ks_band",
     "ks_statistic",
@@ -95,7 +86,6 @@ __all__ = [
     "preimage_pair",
     "pushforward_cdf",
     "q_r",
-    "quantile_kumaraswamy",
     "run_verification",
     "sample",
     "standard_grid",

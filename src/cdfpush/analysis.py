@@ -10,7 +10,6 @@ import numpy as np
 from .distributions import DistSpec
 from .errors import ParameterError
 from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, pushforward_cdf, standard_grid
-from .simulate import EmpiricalCdf
 
 __all__ = [
     "ConvergenceReport",
@@ -61,14 +60,17 @@ def _sup_gap(f: np.ndarray, g: np.ndarray) -> float:
     return float(diff.max())
 
 
-def ks_statistic(empirical: EmpiricalCdf, F) -> float:
-    """One-sample Kolmogorov-Smirnov statistic of samples against the CDF F.
+def ks_statistic(empirical: DistSpec, F) -> float:
+    """One-sample Kolmogorov-Smirnov statistic of an empirical spec's
+    samples against the CDF F.
 
     Uses the exact two-sided form over the sorted samples, comparing F
     to the empirical CDF from above and below at every jump.
     """
     x = empirical.samples
-    n = empirical.n
+    if x is None:
+        raise ParameterError(f"the KS statistic needs an empirical spec; got {empirical.label}")
+    n = x.size
     fx = np.asarray(F(x), dtype=float)
     ranks = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(ranks / n - fx))

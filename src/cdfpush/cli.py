@@ -16,7 +16,6 @@ import argparse
 import platform
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,34 +30,16 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .pushforward import iterate_pushforward, standard_grid
+from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, standard_grid
 from .simulate import DEFAULT_BURN_IN, ensemble_push, ergodic_empirical
 from .verify import run_verification
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICS = 3
-
-
-@dataclass
-class RunConfig:
-    """Resolved flags for one CLI invocation."""
-
-    command: str
-    r: float = 4.0
-    init: str = "uniform"
-    steps: int = 4
-    grid: int = 1024
-    n: int = 100_000
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
-    mode: str = "orbit"
-    push_steps: int = 2
-    burn_in: int = DEFAULT_BURN_IN
 
 
 def _format_value(value) -> str:
@@ -69,13 +50,13 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _meta(cfg: RunConfig, **extra) -> dict:
+def _meta(args: argparse.Namespace, **extra) -> dict:
     meta = {
-        "command": cfg.command,
-        "r": cfg.r,
-        "seed": cfg.seed,
-        "grid": cfg.grid,
-        "format": cfg.fmt,
+        "command": args.command,
+        "r": args.r,
+        "seed": args.seed,
+        "grid": args.grid,
+        "format": args.fmt,
         "package": f"cdfpush {__version__}",
         "numpy": np.__version__,
         "python": platform.python_version(),
@@ -91,56 +72,56 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(columns: dict[str, np.ndarray], meta: dict, footer: dict, cfg: RunConfig) -> None:
+def _emit_table(columns: dict[str, np.ndarray], meta: dict, footer: dict, args: argparse.Namespace) -> None:
     """Write a column table as CSV (footer as `# key = value` lines) or JSON."""
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "meta": {**meta, **footer},
             "columns": {name: [float(v) for v in values] for name, values in columns.items()},
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
         return
     lines = [",".join(columns)]
     for row in zip(*columns.values()):
         lines.append(",".join(f"{float(v):.17g}" for v in row))
     for key, value in footer.items():
         lines.append(f"# {key} = {_format_value(value)}")
-    _write_text("\n".join(lines) + "\n", cfg.out)
+    _write_text("\n".join(lines) + "\n", args.out)
 
 
-def cmd_iterate(cfg: RunConfig) -> int:
-    if cfg.steps < 0:
-        raise ParameterError(f"--steps must be >= 0; got {cfg.steps}")
-    base = DistSpec.parse(cfg.init)
-    grid = standard_grid(cfg.grid)
+def cmd_iterate(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise ParameterError(f"--steps must be >= 0; got {args.steps}")
+    base = DistSpec.parse(args.init)
+    grid = standard_grid(args.grid)
     columns: dict[str, np.ndarray] = {"y": grid}
-    for n in range(cfg.steps + 1):
-        iterate = iterate_pushforward(base.cdf(), cfg.r, n)
+    for n in range(args.steps + 1):
+        iterate = iterate_pushforward(base.cdf(), args.r, n)
         columns[f"D{n}"] = np.asarray(iterate(grid), dtype=float)
-    _emit_table(columns, _meta(cfg, init=cfg.init, steps=cfg.steps), {}, cfg)
+    _emit_table(columns, _meta(args, init=args.init, steps=args.steps), {}, args)
     return EXIT_OK
 
 
-def cmd_figure(cfg: RunConfig) -> int:
-    base = DistSpec.parse(cfg.init)
-    grid = standard_grid(cfg.grid)
+def cmd_figure(args: argparse.Namespace) -> int:
+    base = DistSpec.parse(args.init)
+    grid = standard_grid(args.grid)
     columns: dict[str, np.ndarray] = {"y": grid}
     for n in range(5):
-        iterate = iterate_pushforward(base.cdf(), cfg.r, n)
+        iterate = iterate_pushforward(base.cdf(), args.r, n)
         columns[f"D{n}"] = np.asarray(iterate(grid), dtype=float)
     columns["U"] = grid.copy()
     columns["K"] = np.asarray(cdf_kumaraswamy(0.5, 0.5, grid), dtype=float)
     columns["B"] = np.asarray(cdf_beta(0.5, 0.5, grid), dtype=float)
-    _emit_table(columns, _meta(cfg, init=cfg.init), {}, cfg)
+    _emit_table(columns, _meta(args, init=args.init), {}, args)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = run_verification(r=cfg.r, seed=cfg.seed, n_samples=cfg.n)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = run_verification(r=args.r, seed=args.seed, n_samples=args.n, grid=args.grid)
     all_pass = all(check.passed for check in checks)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "meta": _meta(cfg, n=cfg.n),
+            "meta": _meta(args, n=args.n),
             "checks": [
                 {
                     "name": check.name,
@@ -151,36 +132,36 @@ def cmd_verify(cfg: RunConfig) -> int:
                 for check in checks
             ],
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = ["check,value,threshold,status"]
         for check in checks:
             status = "PASS" if check.passed else "FAIL"
             lines.append(f"{check.name},{check.value:.17g},{check.threshold:.17g},{status}")
         lines.append(f"# all_pass = {_format_value(all_pass)}")
-        _write_text("\n".join(lines) + "\n", cfg.out)
+        _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    grid = standard_grid(cfg.grid)
-    if cfg.mode == "ensemble":
-        base = DistSpec.parse(cfg.init)
-        empirical = ensemble_push(base, cfg.r, cfg.push_steps, cfg.n, cfg.seed)
-        reference = iterate_pushforward(base.cdf(), cfg.r, cfg.push_steps)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    grid = standard_grid(args.grid)
+    if args.mode == "ensemble":
+        base = DistSpec.parse(args.init)
+        empirical = ensemble_push(base, args.r, args.push_steps, args.n, args.seed)
+        reference = iterate_pushforward(base.cdf(), args.r, args.push_steps)
         columns = {
             "y": grid,
-            "empirical": np.asarray(empirical(grid), dtype=float),
+            "empirical": np.asarray(empirical.cdf()(grid), dtype=float),
             "reference": np.asarray(reference(grid), dtype=float),
         }
         footer = {"ks_statistic": ks_statistic(empirical, reference)}
-        meta = _meta(cfg, mode=cfg.mode, init=cfg.init, push_steps=cfg.push_steps, n=cfg.n)
+        meta = _meta(args, mode=args.mode, init=args.init, push_steps=args.push_steps, n=args.n)
     else:
-        run = ergodic_empirical(cfg.r, cfg.steps, cfg.burn_in, cfg.seed)
+        run = ergodic_empirical(args.r, args.steps, args.burn_in, args.seed)
         arcsine = DistSpec("arcsine").cdf()
         columns = {
             "y": grid,
-            "empirical": np.asarray(run.empirical(grid), dtype=float),
+            "empirical": np.asarray(run.empirical.cdf()(grid), dtype=float),
             "arcsine": np.asarray(arcsine(grid), dtype=float),
         }
         footer = {
@@ -188,14 +169,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "x0": run.x0,
             "degenerate_attractor": run.degenerate_attractor,
         }
-        meta = _meta(cfg, mode=cfg.mode, steps=cfg.steps, burn_in=cfg.burn_in)
+        meta = _meta(args, mode=args.mode, steps=args.steps, burn_in=args.burn_in)
         if run.degenerate_attractor:
             print(
-                f"notice: orbit at r={cfg.r:g} collapsed onto a degenerate attractor; "
+                f"notice: orbit at r={args.r:g} collapsed onto a degenerate attractor; "
                 f"the empirical CDF reflects that attractor, not an ergodic average",
                 file=sys.stderr,
             )
-    _emit_table(columns, meta, footer, cfg)
+    _emit_table(columns, meta, footer, args)
     return EXIT_OK
 
 
@@ -236,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the closed-form and Monte Carlo check battery")
     p_verify.add_argument("--n", type=int, default=100_000, help="Monte Carlo sample count")
-    add_common(p_verify)
+    add_common(p_verify, grid_default=DEFAULT_GRID_SIZE)
 
     p_simulate = sub.add_parser("simulate", help="Monte Carlo ensembles and long orbits")
     p_simulate.add_argument("--mode", choices=("orbit", "ensemble"), default="orbit")
@@ -250,25 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("r", "init", "steps", "grid", "n", "seed", "fmt", "out", "mode", "burn_in"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "push_steps"):
-        cfg.push_steps = args.push_steps
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

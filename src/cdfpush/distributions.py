@@ -1,9 +1,10 @@
 """Distribution primitives on the unit interval.
 
-Closed-form CDFs and quantiles for the uniform, arcsine, beta, and
-Kumaraswamy families, plus empirical step CDFs and seeded inversion
-sampling.  All evaluators are vectorized over numpy arrays and accept
-plain floats.
+`DistSpec` describes the uniform, arcsine, beta, Kumaraswamy and
+empirical families and realizes each as a `Cdf`, with quantiles and
+seeded sampling.  `cdf_beta` and `cdf_kumaraswamy` evaluate the two
+parametric closed forms directly.  All evaluators are vectorized over
+numpy arrays and accept plain floats.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from .errors import ConvergenceError, DomainError, ParameterError
 __all__ = [
     "Cdf",
     "DistSpec",
-    "cdf_arcsine",
     "cdf_beta",
     "cdf_kumaraswamy",
-    "cdf_uniform",
-    "quantile_kumaraswamy",
     "sample",
 ]
 
@@ -86,23 +84,13 @@ def _uniform_kernel(arr: np.ndarray) -> np.ndarray:
 
 
 def _arcsine_kernel(arr: np.ndarray) -> np.ndarray:
+    """(2/pi)*arcsin(sqrt(y)): the arcsine CDF, and the coordinate in
+    which the standard grid of `pushforward` is uniform."""
     return (2.0 / np.pi) * np.arcsin(np.sqrt(arr))
 
 
 def _kumaraswamy_kernel(a: float, b: float, arr: np.ndarray) -> np.ndarray:
     return 1.0 - (1.0 - arr**a) ** b
-
-
-def cdf_uniform(y):
-    """Uniform CDF on [0, 1]: returns the evaluation points unchanged."""
-    arr, scalar = _as_unit_array(y)
-    return _restore(_uniform_kernel(arr), scalar)
-
-
-def cdf_arcsine(y):
-    """Arcsine CDF (2/pi) * arcsin(sqrt(y))."""
-    arr, scalar = _as_unit_array(y)
-    return _restore(_arcsine_kernel(arr), scalar)
 
 
 def cdf_kumaraswamy(alpha, beta, y):
@@ -111,14 +99,6 @@ def cdf_kumaraswamy(alpha, beta, y):
     b = _positive_param(beta, "beta")
     arr, scalar = _as_unit_array(y)
     return _restore(_kumaraswamy_kernel(a, b, arr), scalar)
-
-
-def quantile_kumaraswamy(alpha, beta, p):
-    """Kumaraswamy quantile (1 - (1 - p)**(1/beta))**(1/alpha)."""
-    a = _positive_param(alpha, "alpha")
-    b = _positive_param(beta, "beta")
-    arr, scalar = _as_unit_array(p, "p")
-    return _restore((1.0 - (1.0 - arr) ** (1.0 / b)) ** (1.0 / a), scalar)
 
 
 def _beta_continued_fraction(a: float, b: float, x: np.ndarray, tol: float, max_iter: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Cdf, _as_unit_array, _restore
+from .distributions import Cdf, _arcsine_kernel, _as_unit_array, _restore
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "EXACT_ITERATION_LIMIT",
     "GridCdf",
     "IterateCdf",
-    "grid_coordinate",
     "iterate_pushforward",
     "preimage_pair",
     "pushforward_cdf",
@@ -65,13 +64,6 @@ def standard_grid(m: int) -> np.ndarray:
     grid[0] = 0.0
     grid[-1] = 1.0
     return grid
-
-
-def grid_coordinate(y):
-    """Map y in [0, 1] to u = (2/pi)*arcsin(sqrt(y)), the uniform
-    parameter of the standard grid."""
-    arr, scalar = _as_unit_array(y)
-    return _restore((2.0 / np.pi) * np.arcsin(np.sqrt(arr)), scalar)
 
 
 def _half_width(t: np.ndarray, rr: float) -> np.ndarray:
@@ -187,27 +179,11 @@ class GridCdf:
             raise ParameterError("tabulated values must lie in [0, 1]")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_u_knots", (2.0 / np.pi) * np.arcsin(np.sqrt(grid)))
-
-    @property
-    def size(self) -> int:
-        return int(self.grid.size)
+        object.__setattr__(self, "_u_knots", _arcsine_kernel(grid))
 
     def __call__(self, y):
         arr, scalar = _as_unit_array(y)
-        u = (2.0 / np.pi) * np.arcsin(np.sqrt(arr))
-        out = np.interp(u, self._u_knots, self.values)
-        return _restore(out, scalar)
-
-    def as_cdf(self) -> Cdf:
-        u_knots = self._u_knots
-        values = self.values
-
-        def kernel(arr: np.ndarray) -> np.ndarray:
-            u = (2.0 / np.pi) * np.arcsin(np.sqrt(arr))
-            return np.interp(u, u_knots, values)
-
-        return Cdf(kernel, provenance=f"grid-interpolated[m={self.size - 1}]")
+        return _restore(np.interp(_arcsine_kernel(arr), self._u_knots, self.values), scalar)
 
 
 def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> GridCdf:
@@ -245,44 +221,26 @@ def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> GridCdf
     return GridCdf(grid, values)
 
 
-@dataclass(frozen=True, eq=False)
-class IterateCdf:
-    """The n-fold pushforward of a base CDF, realized as a callable.
+@dataclass(frozen=True)
+class IterateCdf(Cdf):
+    """The n-fold pushforward of a base CDF, realized as a `Cdf`.
 
     `strategy` records how evaluation happens: "exact" runs the
     depth-first pushforward recursion (2**n base evaluations per point)
     while "grid" re-tabulates after every step on a standard grid.
     """
 
-    base: Cdf
-    r: float
-    n: int
     strategy: str
-    grid_size: int
-    cdf: Cdf
-
-    def __call__(self, y):
-        return self.cdf(y)
-
-    @property
-    def provenance(self) -> str:
-        return self.cdf.provenance
 
 
-def iterate_pushforward(
-    F0,
-    r,
-    n: int,
-    strategy: str = "auto",
-    grid_size: int = DEFAULT_GRID_SIZE,
-    exact_limit: int = EXACT_ITERATION_LIMIT,
-) -> IterateCdf:
+def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     """Propagate the CDF F0 forward n steps through the map.
 
-    strategy "auto" uses the exact recursion up to `exact_limit` steps
-    and grid re-tabulation beyond; "exact" above the limit raises
-    ResourceLimitError instead of attempting a 2**n-fold evaluation.
-    n = 0 returns the base CDF semantically unchanged.
+    strategy "auto" uses the exact recursion up to EXACT_ITERATION_LIMIT
+    steps and grid re-tabulation on DEFAULT_GRID_SIZE intervals beyond;
+    "exact" above the limit raises ResourceLimitError instead of
+    attempting a 2**n-fold evaluation.  n = 0 returns the base CDF
+    semantically unchanged.
 
     The exact iterate validates its points once and hands them to one
     depth-first recursion over the base kernel; its values are bit for
@@ -297,16 +255,16 @@ def iterate_pushforward(
     base = F0 if isinstance(F0, Cdf) else Cdf(lambda arr: np.asarray(F0(arr), dtype=float), "callable")
     resolved = strategy
     if strategy == "auto":
-        resolved = "exact" if steps <= exact_limit else "grid"
-    if resolved == "exact" and steps > exact_limit:
+        resolved = "exact" if steps <= EXACT_ITERATION_LIMIT else "grid"
+    if resolved == "exact" and steps > EXACT_ITERATION_LIMIT:
         raise ResourceLimitError(
             f"exact recursion for n={steps} would need 2**{steps} base evaluations "
-            f"per point; the supported depth is {exact_limit} (use the grid strategy)"
+            f"per point; the supported depth is {EXACT_ITERATION_LIMIT} (use the grid strategy)"
         )
 
     if steps == 0:
-        realized = base
-    elif resolved == "exact":
+        return IterateCdf(base.fn, base.provenance, resolved)
+    if resolved == "exact":
         fn = base.fn
 
         def kernel(arr: np.ndarray) -> np.ndarray:
@@ -315,22 +273,20 @@ def iterate_pushforward(
         provenance = base.provenance
         for _ in range(steps):
             provenance = f"pushforward[r={rr:g}]({provenance})"
-        realized = Cdf(kernel, provenance=provenance)
-    else:
-        table = tabulate(base, grid_size)
-        for _ in range(steps):
-            table = tabulate(pushforward_cdf(table.as_cdf(), rr), grid_size)
-        quarter = rr / 4.0
-        interp = table.as_cdf()
+        return IterateCdf(kernel, provenance, resolved)
 
-        def kernel(arr: np.ndarray) -> np.ndarray:
-            # the image of any distribution is supported below the peak
-            out = np.ones_like(arr)
-            mask = arr < quarter
-            if mask.any():
-                out[mask] = np.asarray(interp(arr[mask]))
-            return out
+    table = tabulate(base)
+    for _ in range(steps):
+        table = tabulate(pushforward_cdf(table, rr))
+    quarter = rr / 4.0
 
-        realized = Cdf(kernel, provenance=f"pushforward-grid[r={rr:g},n={steps},m={grid_size}]({base.provenance})")
+    def kernel(arr: np.ndarray) -> np.ndarray:
+        # the image of any distribution is supported below the peak
+        out = np.ones_like(arr)
+        mask = arr < quarter
+        if mask.any():
+            out[mask] = table(arr[mask])
+        return out
 
-    return IterateCdf(base=base, r=rr, n=steps, strategy=resolved, grid_size=int(grid_size), cdf=realized)
+    provenance = f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]({base.provenance})"
+    return IterateCdf(kernel, provenance, resolved)

@@ -19,7 +19,6 @@ from .pushforward import validate_map_param
 
 __all__ = [
     "DEFAULT_BURN_IN",
-    "EmpiricalCdf",
     "ErgodicRun",
     "Trajectory",
     "ensemble_push",
@@ -99,33 +98,9 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     return Trajectory(rr, start, n_burn, states, _is_degenerate(rr, states))
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Right-continuous step CDF F(y) = #{samples <= y} / n."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.sort(np.asarray(self.samples, dtype=float).ravel())
-        if arr.size == 0:
-            raise ParameterError("empirical CDF needs at least one sample")
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():
-            raise DomainError("samples must lie in [0, 1]")
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.samples.size)
-
-    def __call__(self, y):
-        arr, scalar = _as_unit_array(y)
-        out = np.searchsorted(self.samples, arr, side="right") / self.n
-        return _restore(np.asarray(out, dtype=float), scalar)
-
-
-def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) -> EmpiricalCdf:
+def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) -> DistSpec:
     """Sample the spec, push every point n_steps through the map in
-    lockstep, and return the empirical CDF of the final ensemble."""
+    lockstep, and return the final ensemble as an empirical spec."""
     rr = validate_map_param(r)
     if int(n_samples) < 100:
         raise ParameterError(f"n_samples must be >= 100; got {n_samples!r}")
@@ -134,14 +109,14 @@ def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) ->
     x = sample(dist, int(n_samples), seed)
     for _ in range(int(n_steps)):
         x = rr * x * (1.0 - x)
-    return EmpiricalCdf(x)
+    return DistSpec("empirical", samples=x)
 
 
 @dataclass(frozen=True, eq=False)
 class ErgodicRun:
-    """Empirical CDF of one long orbit plus degeneracy diagnostics."""
+    """Empirical spec of one long orbit plus degeneracy diagnostics."""
 
-    empirical: EmpiricalCdf
+    empirical: DistSpec
     r: float
     x0: float
     burn_in: int
@@ -169,7 +144,7 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
         run = trajectory(rr, x0, int(total_steps), burn_in)
         if rr == 4.0 and run.degenerate:
             continue
-        return ErgodicRun(EmpiricalCdf(run.states), rr, x0, int(burn_in), run.degenerate)
+        return ErgodicRun(DistSpec("empirical", samples=run.states), rr, x0, int(burn_in), run.degenerate)
     raise DegenerateOrbitError(
         f"all {MAX_ERGODIC_RETRIES} seeded orbits at r={rr:g} collapsed onto a degenerate set"
     )

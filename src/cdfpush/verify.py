@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fixed_point_residual, ks_band, ks_statistic, sup_distance
-from .distributions import DistSpec, cdf_arcsine, cdf_beta, sample
+from .distributions import DistSpec, cdf_beta, sample
 from .errors import ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
@@ -22,7 +22,7 @@ from .pushforward import (
     standard_grid,
     tabulate,
 )
-from .simulate import EmpiricalCdf, ensemble_push
+from .simulate import ensemble_push
 
 __all__ = [
     "CheckResult",
@@ -85,7 +85,7 @@ def beta_arcsine_residual(points: int = IDENTITY_POINTS) -> float:
     """Sup distance between the continued-fraction beta(1/2, 1/2) CDF and
     the closed-form arcsine CDF."""
     grid = standard_grid(points)
-    return float(np.max(np.abs(cdf_beta(0.5, 0.5, grid) - cdf_arcsine(grid))))
+    return float(np.max(np.abs(cdf_beta(0.5, 0.5, grid) - DistSpec("arcsine").cdf()(grid))))
 
 
 def halfangle_identity_residual(points: int = IDENTITY_POINTS) -> float:
@@ -137,7 +137,7 @@ def power_transform_ks(
     """
     spec = DistSpec("kumaraswamy", alpha, beta)
     x = sample(spec, int(n), seed)
-    empirical = EmpiricalCdf(x**alpha)
+    empirical = DistSpec("empirical", samples=x**alpha)
     target = DistSpec("beta", 1.0, beta).cdf()
     return ks_statistic(empirical, target), ks_band(n, 0.99)
 

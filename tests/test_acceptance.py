@@ -154,7 +154,7 @@ def test_10_randomized_pushforward_validity():
         r = float(rng.uniform(0.25, 4.0))
         F = spec.cdf()
         if rng.random() < 0.3:
-            F = iterate_pushforward(F, float(rng.uniform(0.25, 4.0)), int(rng.integers(1, 3))).cdf
+            F = iterate_pushforward(F, float(rng.uniform(0.25, 4.0)), int(rng.integers(1, 3)))
         worst = max(worst, cdf_violation(pushforward_cdf(F, r), 10_000))
     elapsed = time.perf_counter() - t0
     report(10, "randomized pushforwards stay valid CDFs", worst <= 1e-9,

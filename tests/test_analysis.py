@@ -6,7 +6,6 @@ import pytest
 from cdfpush import (
     Cdf,
     DistSpec,
-    EmpiricalCdf,
     ParameterError,
     cdf_violation,
     convergence_table,
@@ -63,7 +62,11 @@ class TestSupDistance:
 
 class TestKsStatistic:
     def test_single_sample(self):
-        assert ks_statistic(EmpiricalCdf(np.array([0.5])), U) == 0.5
+        assert ks_statistic(DistSpec("empirical", samples=np.array([0.5])), U) == 0.5
+
+    def test_rejects_a_spec_without_samples(self):
+        with pytest.raises(ParameterError):
+            ks_statistic(DistSpec("uniform"), U)
 
     def test_aligned_quantiles(self):
         # samples at the (i - 1/2)/n quantiles give exactly 1/(2n)
@@ -71,14 +74,14 @@ class TestKsStatistic:
         spec = DistSpec("kumaraswamy", 2.0, 3.0)
         p = (np.arange(1, n + 1) - 0.5) / n
         samples = spec.quantile(p)
-        assert ks_statistic(EmpiricalCdf(samples), spec.cdf()) == pytest.approx(1.0 / (2 * n), abs=1e-12)
+        assert ks_statistic(DistSpec("empirical", samples=samples), spec.cdf()) == pytest.approx(1.0 / (2 * n), abs=1e-12)
 
     def test_calibration_shrinks_with_n(self):
         spec = DistSpec("uniform")
         means = []
         for n in (1000, 16_000):
             vals = [
-                ks_statistic(EmpiricalCdf(sample(spec, n, seed)), U)
+                ks_statistic(DistSpec("empirical", samples=sample(spec, n, seed)), U)
                 for seed in range(25)
             ]
             means.append(float(np.mean(vals)))

@@ -112,6 +112,16 @@ class TestVerify:
         data = json.loads(out)
         assert all({"name", "value", "threshold", "passed"} <= set(c) for c in data["checks"])
 
+    def test_grid_flag_reaches_the_battery(self, capsys):
+        _, coarse, _ = run_cli(["verify", "--n", "2000", "--grid", "64"], capsys)
+        _, fine, _ = run_cli(["verify", "--n", "2000", "--grid", "4096"], capsys)
+        assert coarse != fine
+
+    def test_json_meta_reports_default_grid(self, capsys):
+        code, out, _ = run_cli(["verify", "--n", "2000", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["grid"] == 4096
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(["verify", "--n", "5000"], capsys)
         _, out2, _ = run_cli(["verify", "--n", "5000"], capsys)

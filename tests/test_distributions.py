@@ -18,20 +18,19 @@ from cdfpush import (
     DistSpec,
     DomainError,
     ParameterError,
-    cdf_arcsine,
     cdf_beta,
     cdf_kumaraswamy,
-    cdf_uniform,
     ks_band,
     ks_statistic,
-    quantile_kumaraswamy,
     sample,
 )
 from cdfpush.distributions import _beta_continued_fraction, _regularized_incomplete_beta
-from cdfpush.simulate import EmpiricalCdf
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 shape_params = st.floats(min_value=0.25, max_value=4.0)
+
+UNIFORM = DistSpec("uniform").cdf()
+ARCSINE = DistSpec("arcsine").cdf()
 
 
 def beta_cdf_by_quadrature(a, b, y):
@@ -47,38 +46,38 @@ def beta_cdf_by_quadrature(a, b, y):
 
 class TestUniform:
     def test_identity(self):
-        assert cdf_uniform(0.0) == 0.0
-        assert cdf_uniform(1.0) == 1.0
-        assert cdf_uniform(0.25) == 0.25
+        assert UNIFORM(0.0) == 0.0
+        assert UNIFORM(1.0) == 1.0
+        assert UNIFORM(0.25) == 0.25
 
     def test_returns_input_exactly(self):
         y = np.linspace(0.0, 1.0, 17)
-        assert np.array_equal(cdf_uniform(y), y)
+        assert np.array_equal(UNIFORM(y), y)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cdf_uniform(-0.1)
+            UNIFORM(-0.1)
         with pytest.raises(DomainError):
-            cdf_uniform(1.1)
+            UNIFORM(1.1)
         with pytest.raises(DomainError):
-            cdf_uniform(float("nan"))
+            UNIFORM(float("nan"))
 
 
 class TestArcsine:
     def test_endpoints_and_median(self):
-        assert cdf_arcsine(0.0) == 0.0
-        assert cdf_arcsine(0.5) == pytest.approx(0.5, abs=1e-15)
-        assert cdf_arcsine(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert ARCSINE(0.0) == 0.0
+        assert ARCSINE(0.5) == pytest.approx(0.5, abs=1e-15)
+        assert ARCSINE(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_quarter_point_against_quadrature(self):
         # (2/pi)*arcsin(1/2) = 1/3, and the density integral agrees
-        assert cdf_arcsine(0.25) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert ARCSINE(0.25) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert beta_cdf_by_quadrature(0.5, 0.5, 0.25) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     @given(unit_floats, unit_floats)
     def test_monotone(self, y1, y2):
         lo, hi = min(y1, y2), max(y1, y2)
-        assert cdf_arcsine(lo) <= cdf_arcsine(hi)
+        assert ARCSINE(lo) <= ARCSINE(hi)
 
 
 class TestKumaraswamy:
@@ -101,9 +100,9 @@ class TestKumaraswamy:
                 cdf_kumaraswamy(1.0, bad, 0.5)
 
     def test_quantile_point_values(self):
-        assert quantile_kumaraswamy(0.5, 0.5, 0.0) == 0.0
-        assert quantile_kumaraswamy(1.0, 0.5, 0.5) == pytest.approx(0.75, abs=1e-15)
-        assert quantile_kumaraswamy(2.0, 3.0, 1.0) == 1.0
+        assert DistSpec("kumaraswamy", 0.5, 0.5).quantile(0.0) == 0.0
+        assert DistSpec("kumaraswamy", 1.0, 0.5).quantile(0.5) == pytest.approx(0.75, abs=1e-15)
+        assert DistSpec("kumaraswamy", 2.0, 3.0).quantile(1.0) == 1.0
 
     @given(
         # p close enough to 1 makes the quantile saturate at 1.0 in double
@@ -114,7 +113,7 @@ class TestKumaraswamy:
         shape_params,
     )
     def test_quantile_round_trip(self, p, a, b):
-        y = quantile_kumaraswamy(a, b, p)
+        y = DistSpec("kumaraswamy", a, b).quantile(p)
         assert cdf_kumaraswamy(a, b, y) == pytest.approx(p, abs=1e-9)
 
 
@@ -132,7 +131,7 @@ class TestBetaCdf:
 
     def test_matches_arcsine(self):
         y = np.linspace(0.0, 1.0, 1001)
-        assert np.max(np.abs(cdf_beta(0.5, 0.5, y) - cdf_arcsine(y))) <= 1e-10
+        assert np.max(np.abs(cdf_beta(0.5, 0.5, y) - ARCSINE(y))) <= 1e-10
 
     @given(shape_params, shape_params, unit_floats)
     def test_against_scipy(self, a, b, y):
@@ -226,14 +225,14 @@ class TestDistSpec:
 
 class TestEmpiricalCdf:
     def test_right_continuous_steps(self):
-        F = EmpiricalCdf(np.array([0.2, 0.4, 0.4, 0.8]))
+        F = DistSpec("empirical", samples=np.array([0.2, 0.4, 0.4, 0.8])).cdf()
         assert F(0.4) == 0.75
         assert F(0.3999) == 0.25
         assert F(0.1) == 0.0
         assert F(1.0) == 1.0
 
     def test_single_sample(self):
-        F = EmpiricalCdf(np.array([0.5]))
+        F = DistSpec("empirical", samples=np.array([0.5])).cdf()
         assert F(0.5) == 1.0
         assert F(0.49) == 0.0
 
@@ -262,7 +261,7 @@ class TestSample:
         n = 100_000
         x = sample(spec, n, 97)
         assert x.min() >= 0.0 and x.max() <= 1.0
-        assert ks_statistic(EmpiricalCdf(x), spec.cdf()) < ks_band(n, 0.95)
+        assert ks_statistic(DistSpec("empirical", samples=x), spec.cdf()) < ks_band(n, 0.95)
 
     def test_empirical_bootstrap(self):
         source = np.linspace(0.1, 0.9, 7)
@@ -274,7 +273,7 @@ class TestSample:
         # X ~ Kumaraswamy(a, b) implies X**a ~ beta(1, b)
         n = 100_000
         x = sample(DistSpec("kumaraswamy", 0.5, 2.0), n, 42)
-        ks = ks_statistic(EmpiricalCdf(x**0.5), DistSpec("beta", 1.0, 2.0).cdf())
+        ks = ks_statistic(DistSpec("empirical", samples=x**0.5), DistSpec("beta", 1.0, 2.0).cdf())
         assert ks < ks_band(n, 0.99)
 
 

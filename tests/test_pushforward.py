@@ -5,6 +5,7 @@ against their algebraic expressions, and the two evaluation strategies
 against each other.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from cdfpush import (
     ParameterError,
     ResourceLimitError,
     cdf_kumaraswamy,
-    grid_coordinate,
     iterate_pushforward,
     preimage_pair,
     pushforward_cdf,
@@ -55,7 +55,7 @@ class TestStandardGrid:
 
     def test_uniform_in_arcsine_coordinate(self):
         g = standard_grid(64)
-        u = grid_coordinate(g)
+        u = DistSpec("arcsine").cdf()(g)
         assert np.max(np.abs(u - np.linspace(0.0, 1.0, 65))) < 1e-13
 
     def test_size_validation(self):
@@ -155,7 +155,8 @@ class TestIterate:
         it = iterate_pushforward(base, 4.0, 0)
         y = standard_grid(256)
         assert np.array_equal(it(y), base(y))
-        assert it.n == 0
+        assert it.strategy == "exact"
+        assert it.provenance == base.provenance
 
     def test_one_step_matches_kumaraswamy(self):
         it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 1)
@@ -185,7 +186,7 @@ class TestIterate:
     def test_strategies_agree(self, n):
         base = DistSpec("uniform").cdf()
         exact = iterate_pushforward(base, 4.0, n, strategy="exact")
-        grid = iterate_pushforward(base, 4.0, n, strategy="grid", grid_size=4096)
+        grid = iterate_pushforward(base, 4.0, n, strategy="grid")
         y = standard_grid(4096)
         assert np.max(np.abs(np.asarray(exact(y)) - np.asarray(grid(y)))) <= 1e-6
 
@@ -196,6 +197,47 @@ class TestIterate:
     def test_grid_strategy_support_shrinkage(self):
         it = iterate_pushforward(DistSpec("uniform").cdf(), 2.0, 3, strategy="grid")
         assert it(0.75) == 1.0 and it(0.5) == 1.0
+
+
+class TestIterateContract:
+    """Every iterate is a `Cdf` with a strategy, and it reaches its base
+    only through the base's `fn`, so a base rebuilt around a counting
+    `fn` sees every evaluation."""
+
+    @pytest.mark.parametrize("n, strategy", [(0, "exact"), (3, "exact"), (13, "grid")])
+    def test_iterate_is_a_cdf_with_its_strategy(self, n, strategy):
+        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)
+        assert isinstance(it, Cdf)
+        assert it.strategy == strategy
+
+    @staticmethod
+    def _counted(base):
+        calls = []
+
+        def counting_fn(arr):
+            calls.append(arr.size)
+            return base.fn(arr)
+
+        return dataclasses.replace(base, fn=counting_fn), calls
+
+    def test_exact_path_calls_base_fn_once_per_leaf(self):
+        base = DistSpec("uniform").cdf()
+        counted, calls = self._counted(base)
+        y = standard_grid(64)
+        it = iterate_pushforward(counted, 4.0, 3)
+        assert calls == []
+        values = it(y)
+        assert len(calls) == 8
+        assert np.array_equal(values, iterate_pushforward(base, 4.0, 3)(y))
+
+    def test_grid_path_calls_base_fn_once_to_tabulate(self):
+        base = DistSpec("uniform").cdf()
+        counted, calls = self._counted(base)
+        it = iterate_pushforward(counted, 4.0, 13)
+        assert calls == [standard_grid(4096).size]
+        y = standard_grid(64)
+        assert np.array_equal(it(y), iterate_pushforward(base, 4.0, 13)(y))
+        assert len(calls) == 1
 
 
 class TestTabulate:
@@ -257,13 +299,6 @@ class TestGridCdf:
     def test_interpolates_through_knots(self):
         table = tabulate(DistSpec("arcsine").cdf(), 64)
         assert np.array_equal(table(table.grid), table.values)
-
-    def test_as_cdf_round_trip(self):
-        table = tabulate(DistSpec("arcsine").cdf(), 64)
-        F = table.as_cdf()
-        y = np.linspace(0.0, 1.0, 101)
-        assert np.array_equal(F(y), table(y))
-        assert F.provenance == "grid-interpolated[m=64]"
 
     def test_domain_checked(self):
         table = tabulate(DistSpec("uniform").cdf(), 16)

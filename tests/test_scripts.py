@@ -1,0 +1,48 @@
+"""The experiment scripts under scripts/, run through their `main`."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from cdfpush import convergence_table
+from cdfpush.cli import main as cli_main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def convergence_scan():
+    return load_script("convergence_scan")
+
+
+@pytest.fixture(scope="module")
+def figure_data():
+    return load_script("figure_data")
+
+
+def test_convergence_scan_prints_the_table(convergence_scan, capsys):
+    assert convergence_scan.main(["--n-max", "4", "--grid", "64"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "n,to_uniform,to_kumaraswamy,to_arcsine"
+    assert lines[-2:] == ["# r = 4", "# grid = 64"]
+    rows = [line.split(",") for line in lines[1:-2]]
+    report = convergence_table(4, 64)
+    assert [int(row[0]) for row in rows] == [row.n for row in report.rows]
+    for printed, row in zip(rows, report.rows):
+        assert [float(v) for v in printed[1:]] == [row.to_uniform, row.to_kumaraswamy, row.to_arcsine]
+
+
+def test_figure_data_matches_the_cli(figure_data, capsys):
+    assert figure_data.main(["--grid", "64"]) == 0
+    script_out = capsys.readouterr().out
+    assert cli_main(["figure", "--grid", "64"]) == 0
+    assert script_out == capsys.readouterr().out
+    assert script_out.startswith("y,D0,D1,D2,D3,D4,U,K,B\n")

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from cdfpush import (
     DistSpec,
     DomainError,
-    EmpiricalCdf,
     ParameterError,
     ensemble_push,
     ergodic_empirical,
@@ -125,14 +124,14 @@ class TestErgodicEmpirical:
     def test_two_seeds_agree_distributionally(self):
         a = ergodic_empirical(4.0, 100_000, 1000, seed=0)
         b = ergodic_empirical(4.0, 100_000, 1000, seed=1)
-        assert ks_statistic(a.empirical, b.empirical) <= 0.02
+        assert ks_statistic(a.empirical, b.empirical.cdf()) <= 0.02
 
     def test_degenerate_attractor_below_r4(self):
         run = ergodic_empirical(2.0, 10_000, 1000, seed=3)
         assert run.degenerate_attractor
         # all mass at the stable fixed point 1/2
-        assert run.empirical(0.5) == 1.0
-        assert run.empirical(0.4999) == 0.0
+        assert run.empirical.cdf()(0.5) == 1.0
+        assert run.empirical.cdf()(0.4999) == 0.0
 
     def test_step_count_validation(self):
         with pytest.raises(ParameterError):
@@ -141,14 +140,14 @@ class TestErgodicEmpirical:
 
 class TestEmpiricalCdfType:
     def test_sorted_storage(self):
-        emp = EmpiricalCdf(np.array([0.9, 0.1, 0.5]))
+        emp = DistSpec("empirical", samples=np.array([0.9, 0.1, 0.5]))
         assert np.array_equal(emp.samples, [0.1, 0.5, 0.9])
-        assert emp.n == 3
+        assert emp.samples.size == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            EmpiricalCdf(np.array([]))
+            DistSpec("empirical", samples=np.array([]))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            EmpiricalCdf(np.array([0.5, 1.2]))
+        with pytest.raises(ParameterError):
+            DistSpec("empirical", samples=np.array([0.5, 1.2]))
