@@ -24,6 +24,7 @@ from cdfpush import (
     ks_statistic,
     sample,
 )
+from cdfpush import distributions
 from cdfpush.distributions import _beta_continued_fraction, _regularized_incomplete_beta
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -113,8 +114,17 @@ class TestKumaraswamy:
         shape_params,
     )
     def test_quantile_round_trip(self, p, a, b):
+        # Near y = 1 with small b (p = 0.999, b = 0.25) the CDF is so steep
+        # that one float step of y moves it by more than 1e-9, and the
+        # float CDF rounds y**a to the floats near 1, so it is constant over
+        # runs of up to 1/a consecutive floats of y.  No float64 y meets the
+        # bound pointwise there: p must lie within 1e-9 of the CDF over the
+        # floats next to such a run on either side of y.
         y = DistSpec("kumaraswamy", a, b).quantile(p)
-        assert cdf_kumaraswamy(a, b, y) == pytest.approx(p, abs=1e-9)
+        steps = math.ceil(1.0 / a) + 1
+        below = cdf_kumaraswamy(a, b, max(y - steps * np.spacing(y), 0.0))
+        above = cdf_kumaraswamy(a, b, min(y + steps * np.spacing(y), 1.0))
+        assert below - 1e-9 <= p <= above + 1e-9
 
 
 class TestBetaCdf:
@@ -142,6 +152,16 @@ class TestBetaCdf:
         assert cdf_beta(a, b, 0.0) == 0.0
         assert cdf_beta(a, b, 1.0) == 1.0
 
+    def test_interior_batch_equals_batch_with_endpoints(self):
+        # an all-interior batch skips the gather and scatter
+        y = np.random.default_rng(5).random(1000)
+        for a, b in [(0.5, 0.5), (2.5, 3.5)]:
+            with_ends = np.concatenate(([0.0], y, [1.0]))
+            cdf, front = _regularized_incomplete_beta(a, b, y, 1e-12, 300)
+            cdf_ends, front_ends = _regularized_incomplete_beta(a, b, with_ends, 1e-12, 300)
+            assert np.array_equal(cdf_ends[1:-1], cdf) and np.array_equal(front_ends[1:-1], front)
+            assert (cdf_ends[0], cdf_ends[-1], front_ends[0], front_ends[-1]) == (0.0, 1.0, 0.0, 0.0)
+
     def test_nonconvergence_raises(self):
         # starve the continued fraction of iterations; a silent wrong
         # value here would poison every downstream comparison
@@ -149,6 +169,100 @@ class TestBetaCdf:
             _beta_continued_fraction(0.5, 0.5, np.array([0.3]), 1e-12, 1)
         with pytest.raises(ConvergenceError):
             _regularized_incomplete_beta(2.0, 3.0, np.array([0.4]), 1e-12, 1)
+
+
+def allocating_lentz(a, b, x, tol, max_iter):
+    """The continued fraction written with one new array per operation:
+    the oracle for the in-place loop, which must match it bit for bit."""
+    tiny = 1e-300
+    c = np.ones_like(x)
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    np.copyto(d, tiny, where=np.abs(d) < tiny)
+    d = 1.0 / d
+    h = d.copy()
+    converged = np.zeros(x.shape, dtype=bool)
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        num = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        d = 1.0 + num * d
+        np.copyto(d, tiny, where=np.abs(d) < tiny)
+        c = 1.0 + num / c
+        np.copyto(c, tiny, where=np.abs(c) < tiny)
+        d = 1.0 / d
+        h *= d * c
+        num = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        d = 1.0 + num * d
+        np.copyto(d, tiny, where=np.abs(d) < tiny)
+        c = 1.0 + num / c
+        np.copyto(c, tiny, where=np.abs(c) < tiny)
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        converged |= np.abs(delta - 1.0) < tol
+        if converged.all():
+            return h
+    raise ConvergenceError("unconverged")
+
+
+class TestLentzLoop:
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.5, 3.5), (20.0, 30.0), (0.05, 5.0)])
+    def test_bit_identical_to_allocating_loop(self, a, b):
+        rng = np.random.default_rng(11)
+        for p, q in [(a, b), (b, a)]:  # direct and flipped orientation
+            split = (p + 1.0) / (p + q + 2.0)
+            batches = [
+                split * rng.random(2000),  # across the whole valid range
+                1e-8 * rng.random(500),  # near 0
+                split * (1.0 - 1e-3 * rng.random(500)),  # just below the split
+            ]
+            for x in batches:
+                want = allocating_lentz(p, q, x, 1e-12, 300)
+                assert np.array_equal(_beta_continued_fraction(p, q, x, 1e-12, 300), want)
+
+
+class TestBetaQuantile:
+    SHAPES = [(0.5, 0.5), (2.5, 3.5), (0.2, 5.0), (5.0, 0.3), (20.0, 30.0)]
+
+    @pytest.mark.parametrize("a, b", SHAPES)
+    def test_matches_scipy(self, a, b):
+        p = np.linspace(1e-6, 1.0 - 1e-6, 2001)
+        x = DistSpec("beta", a, b).quantile(p)
+        assert np.max(np.abs(x - special.betaincinv(a, b, p))) <= 2e-12
+
+    @pytest.mark.parametrize("a, b", SHAPES + [(0.05, 5.0)])
+    def test_endpoints_exact(self, a, b):
+        spec = DistSpec("beta", a, b)
+        lo, hi = spec.quantile(0.0), spec.quantile(1.0)
+        assert isinstance(lo, float) and isinstance(hi, float)
+        assert (lo, hi) == (0.0, 1.0)
+        assert np.array_equal(spec.quantile(np.array([1.0, 0.0, 0.5]))[:2], [1.0, 0.0])
+
+    def test_cdf_passes_per_draw(self, monkeypatch):
+        points = []
+        original = distributions._regularized_incomplete_beta
+
+        def counting(a, b, y, tol, max_iter):
+            points.append(y.size)
+            return original(a, b, y, tol, max_iter)
+
+        monkeypatch.setattr(distributions, "_regularized_incomplete_beta", counting)
+        n = 10_000
+        sample(DistSpec("beta", 2.5, 3.5), n, 2024)
+        assert sum(points) <= 10 * n
+
+    def test_domain(self):
+        spec = DistSpec("beta", 2.5, 3.5)
+        for bad in (-1e-9, 1.0 + 1e-9, float("nan")):
+            with pytest.raises(DomainError):
+                spec.quantile(bad)
+        with pytest.raises(DomainError):
+            spec.quantile(np.array([0.5, float("nan")]))
+
+    def test_raises_past_pass_bound(self, monkeypatch):
+        # never an unconverged value: two passes cannot reach 1e-12
+        monkeypatch.setattr(distributions, "_QUANTILE_MAX_PASSES", 2)
+        with pytest.raises(ConvergenceError):
+            DistSpec("beta", 2.5, 3.5).quantile(np.array([0.1, 0.7]))
 
 
 class TestDistSpec:
@@ -211,7 +325,7 @@ class TestDistSpec:
     def test_cdf_provenance(self):
         assert DistSpec("arcsine").cdf().provenance == "closed-form:arcsine"
 
-    def test_quantile_beta_by_bisection(self):
+    def test_quantile_beta(self):
         spec = DistSpec("beta", 2.0, 3.0)
         p = np.linspace(0.01, 0.99, 25)
         x = spec.quantile(p)
