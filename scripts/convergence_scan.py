@@ -7,6 +7,9 @@ Kumaraswamy, and arcsine closed forms, and writes one row per depth.
 
 Usage:
     python3 scripts/convergence_scan.py --n-max 12 --out convergence.csv
+
+A bad parameter prints one `error:` line to stderr and exits 2, the
+usage-error code of `cdfpush`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import argparse
 import json
 import sys
 
-from cdfpush import convergence_table
+from cdfpush import DomainError, ParameterError, convergence_table
+from cdfpush.cli import EXIT_USAGE
 
 COLUMNS = ("n", "to_uniform", "to_kumaraswamy", "to_arcsine")
 
@@ -34,7 +38,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="output path (default: stdout)")
     args = parser.parse_args(argv)
 
-    report = convergence_table(args.n_max, m=args.grid, r=args.r)
+    try:
+        report = convergence_table(args.n_max, m=args.grid, r=args.r)
+    except (ParameterError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     cols = report.columns()
 
     if args.format == "json":

@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .analysis import (
     ConvergenceReport,
     ConvergenceRow,
-    cdf_violation,
     convergence_table,
     fixed_point_residual,
     ks_band,
@@ -33,12 +32,10 @@ from .errors import (
 from .pushforward import (
     DEFAULT_GRID_SIZE,
     EXACT_ITERATION_LIMIT,
-    GridCdf,
     IterateCdf,
     iterate_pushforward,
     preimage_pair,
     pushforward_cdf,
-    q_r,
     standard_grid,
     tabulate,
     validate_map_param,
@@ -48,7 +45,6 @@ from .simulate import (
     Trajectory,
     ensemble_push,
     ergodic_empirical,
-    logistic_step,
     trajectory,
 )
 from .verify import CheckResult, run_verification
@@ -65,7 +61,6 @@ __all__ = [
     "DomainError",
     "EXACT_ITERATION_LIMIT",
     "ErgodicRun",
-    "GridCdf",
     "IterateCdf",
     "MonotonicityError",
     "NumericsError",
@@ -74,7 +69,6 @@ __all__ = [
     "Trajectory",
     "cdf_beta",
     "cdf_kumaraswamy",
-    "cdf_violation",
     "convergence_table",
     "ensemble_push",
     "ergodic_empirical",
@@ -82,10 +76,8 @@ __all__ = [
     "iterate_pushforward",
     "ks_band",
     "ks_statistic",
-    "logistic_step",
     "preimage_pair",
     "pushforward_cdf",
-    "q_r",
     "run_verification",
     "sample",
     "standard_grid",

@@ -14,7 +14,6 @@ from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, pushforward_cdf
 __all__ = [
     "ConvergenceReport",
     "ConvergenceRow",
-    "cdf_violation",
     "convergence_table",
     "fixed_point_residual",
     "ks_band",
@@ -84,18 +83,6 @@ def fixed_point_residual(F, r, m: int = DEFAULT_GRID_SIZE) -> float:
     Zero (to rounding) exactly when F is invariant under the map.
     """
     return sup_distance(pushforward_cdf(F, r), F, m)
-
-
-def cdf_violation(F, m: int = 10_000) -> float:
-    """Worst violation of CDF validity for F over the standard grid:
-    endpoint deviation from 0 and 1, any decreasing step, and any
-    excursion outside [0, 1]."""
-    grid = standard_grid(m)
-    v = np.asarray(F(grid), dtype=float)
-    steps = np.diff(v)
-    worst_dip = float(max(0.0, -steps.min())) if steps.size else 0.0
-    out_of_range = float(max(0.0, v.max() - 1.0, -v.min()))
-    return max(abs(float(v[0])), abs(float(v[-1]) - 1.0), worst_dip, out_of_range)
 
 
 @dataclass(frozen=True)

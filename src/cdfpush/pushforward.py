@@ -23,12 +23,10 @@ from .errors import MonotonicityError, ParameterError, ResourceLimitError
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "EXACT_ITERATION_LIMIT",
-    "GridCdf",
     "IterateCdf",
     "iterate_pushforward",
     "preimage_pair",
     "pushforward_cdf",
-    "q_r",
     "standard_grid",
     "tabulate",
     "validate_map_param",
@@ -66,35 +64,18 @@ def standard_grid(m: int) -> np.ndarray:
     return grid
 
 
-def _half_width(t: np.ndarray, rr: float) -> np.ndarray:
-    """sqrt(1/4 - t/r) for points t <= r/4."""
-    return np.sqrt(0.25 - t / rr)
-
-
 def _preimages(t: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
     """Both preimages (lower, upper) of validated points t <= r/4, in the
     cancellation-free form documented at `preimage_pair`."""
-    hi = 0.5 + _half_width(t, rr)
+    hi = 0.5 + np.sqrt(0.25 - t / rr)
     return (t / rr) / hi, hi
-
-
-def q_r(r, y):
-    """Half-width sqrt(1/4 - y/r) of the preimage pair around 1/2.
-
-    Zero for y above the map's peak r/4, where y has no preimage.
-    """
-    rr = validate_map_param(r)
-    arr, scalar = _as_unit_array(y)
-    out = np.zeros_like(arr)
-    mask = arr <= rr / 4.0
-    out[mask] = _half_width(arr[mask], rr)
-    return _restore(out, scalar)
 
 
 def preimage_pair(r, y):
     """Both preimages of y under x -> r*x*(1-x), as (lower, upper).
 
-    The lower branch is computed as (y/r)/(1/2 + q) rather than
+    With q = sqrt(1/4 - y/r) the half-width of the pair around 1/2,
+    the lower branch is computed as (y/r)/(1/2 + q) rather than
     1/2 - q, which cancels catastrophically as y -> 0.  For y above
     the peak both entries collapse to the critical point 1/2.
     """
@@ -150,48 +131,34 @@ def pushforward_cdf(F, r) -> Cdf:
     return Cdf(kernel, provenance=f"pushforward[r={rr:g}]({tag})")
 
 
-@dataclass(frozen=True, eq=False)
-class GridCdf:
-    """A CDF tabulated on a grid, interpolated in the arcsine coordinate.
-
-    Interpolation is piecewise linear in u = (2/pi)*arcsin(sqrt(y)),
-    the coordinate in which the standard grid is uniform; this keeps
-    the square-root edge behavior of iterated CDFs nearly linear per
-    interval.  Values must be weakly nondecreasing with endpoints 0
-    and 1 exactly.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 3:
-            raise ParameterError("grid and values must be 1-d arrays of equal size >= 3")
-        if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0.0):
-            raise ParameterError("grid must increase strictly from 0 to 1")
-        if values[0] != 0.0 or values[-1] != 1.0:
-            raise ParameterError("tabulated values must start at 0 and end at 1")
-        if np.any(np.diff(values) < 0.0):
-            raise ParameterError("tabulated values must be weakly nondecreasing")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ParameterError("tabulated values must lie in [0, 1]")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_u_knots", _arcsine_kernel(grid))
-
-    def __call__(self, y):
-        arr, scalar = _as_unit_array(y)
-        return _restore(np.interp(_arcsine_kernel(arr), self._u_knots, self.values), scalar)
+def _settle(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Settle raw values at the knots `grid` into a CDF table, in place,
+    as `tabulate` documents; the grid chain settles every step."""
+    steps = np.diff(values)
+    if float(steps.min()) < -MONOTONICITY_TOLERANCE:
+        knot = int(np.argmin(steps))
+        raise MonotonicityError(
+            f"tabulated CDF decreases by {-float(steps.min()):.3e} near "
+            f"y={grid[knot]:.6g} (allowed slack {MONOTONICITY_TOLERANCE:g})"
+        )
+    np.clip(values, 0.0, 1.0, out=values)
+    values[0] = 0.0
+    np.maximum.accumulate(values, out=values)
+    values[-1] = 1.0
+    return values
 
 
-def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> GridCdf:
-    """Tabulate a callable CDF on the standard grid of size m.
+def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> Cdf:
+    """Tabulate a callable CDF on the standard grid of size m, as a `Cdf`.
 
-    Endpoint values are forced to 0 and 1.  A decrease between adjacent
-    knots larger than the rounding slack raises MonotonicityError; dips
-    within the slack are flattened by a running maximum.
+    The result interpolates the tabulated values piecewise linearly in
+    u = (2/pi)*arcsin(sqrt(y)), the coordinate in which the standard
+    grid is uniform; this keeps the square-root edge behavior of
+    iterated CDFs nearly linear per interval, and it returns the
+    tabulated values exactly at the knots.  Endpoint values are forced
+    to 0 and 1.  A decrease between adjacent knots larger than the
+    rounding slack raises MonotonicityError; dips within the slack are
+    flattened by a running maximum.
 
     `support_top` < 1 scales the knots into [0, support_top] and appends
     a final knot at y = 1.  A pushforward at parameter r is flat at 1
@@ -202,23 +169,19 @@ def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> GridCdf
     top = float(support_top)
     if not 0.0 < top <= 1.0:
         raise ParameterError(f"support_top must lie in (0, 1]; got {support_top!r}")
-    if top == 1.0:
-        grid = standard_grid(m)
-    else:
-        grid = np.append(top * standard_grid(m), 1.0)
-    values = np.array(F(grid), dtype=float, copy=True)
-    steps = np.diff(values)
-    if steps.size and float(steps.min()) < -MONOTONICITY_TOLERANCE:
-        knot = int(np.argmin(steps))
-        raise MonotonicityError(
-            f"tabulated CDF decreases by {-float(steps.min()):.3e} near "
-            f"y={grid[knot]:.6g} (allowed slack {MONOTONICITY_TOLERANCE:g})"
-        )
-    np.clip(values, 0.0, 1.0, out=values)
-    values[0] = 0.0
-    np.maximum.accumulate(values, out=values)
-    values[-1] = 1.0
-    return GridCdf(grid, values)
+    grid = standard_grid(m)
+    if top < 1.0:
+        grid = np.append(top * grid, 1.0)
+    if np.any(np.diff(grid) <= 0.0):
+        # a subnormal support_top rounds neighbouring knots together
+        raise ParameterError("grid must increase strictly from 0 to 1")
+    values = _settle(np.array(F(grid), dtype=float, copy=True), grid)
+    u_knots = _arcsine_kernel(grid)
+
+    def kernel(arr: np.ndarray) -> np.ndarray:
+        return np.interp(_arcsine_kernel(arr), u_knots, values)
+
+    return Cdf(kernel, f"grid[m={int(m)}]({getattr(F, 'provenance', 'callable')})")
 
 
 @dataclass(frozen=True)
@@ -226,8 +189,10 @@ class IterateCdf(Cdf):
     """The n-fold pushforward of a base CDF, realized as a `Cdf`.
 
     `strategy` records how evaluation happens: "exact" runs the
-    depth-first pushforward recursion (2**n base evaluations per point)
-    while "grid" re-tabulates after every step on a standard grid.
+    depth-first pushforward recursion (2**n base evaluations per point;
+    at n = 0 the base itself) while "grid" interpolates a table on the
+    standard grid, built by tabulating the base once and stepping the
+    table's values n times.
     """
 
     strategy: str
@@ -237,14 +202,17 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     """Propagate the CDF F0 forward n steps through the map.
 
     strategy "auto" uses the exact recursion up to EXACT_ITERATION_LIMIT
-    steps and grid re-tabulation on DEFAULT_GRID_SIZE intervals beyond;
+    steps and the grid chain on DEFAULT_GRID_SIZE intervals beyond;
     "exact" above the limit raises ResourceLimitError instead of
     attempting a 2**n-fold evaluation.  n = 0 returns the base CDF
-    semantically unchanged.
+    unchanged, recorded as "exact" whatever the strategy.
 
     The exact iterate validates its points once and hands them to one
     depth-first recursion over the base kernel; its values are bit for
-    bit those of the n-fold composition of `pushforward_cdf`.
+    bit those of the n-fold composition of `pushforward_cdf`.  The grid
+    chain tabulates the base once and then steps the values at the
+    knots; its values are bit for bit those of n-fold re-tabulation,
+    `tabulate(pushforward_cdf(table, r))`.
     """
     rr = validate_map_param(r)
     steps = int(n)
@@ -263,7 +231,7 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
         )
 
     if steps == 0:
-        return IterateCdf(base.fn, base.provenance, resolved)
+        return IterateCdf(base.fn, base.provenance, "exact")
     if resolved == "exact":
         fn = base.fn
 
@@ -275,17 +243,28 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
             provenance = f"pushforward[r={rr:g}]({provenance})"
         return IterateCdf(kernel, provenance, resolved)
 
-    table = tabulate(base)
-    for _ in range(steps):
-        table = tabulate(pushforward_cdf(table, rr))
+    # the chain steps on value arrays at fixed knots: each step gathers
+    # at the arcsine coordinates of both preimages of every knot below
+    # the peak, which are computed once here (Ulam's method)
     quarter = rr / 4.0
+    grid = standard_grid(DEFAULT_GRID_SIZE)
+    u = _arcsine_kernel(grid)
+    below = grid < quarter
+    u_lo, u_hi = (_arcsine_kernel(x) for x in _preimages(grid[below], rr))
+    values = _settle(np.array(base(grid), dtype=float, copy=True), grid)
+    for _ in range(steps):
+        pushed = np.ones_like(grid)
+        v = np.interp(u_lo, u, values) + 1.0
+        v -= np.interp(u_hi, u, values)
+        pushed[below] = v
+        values = _settle(pushed, grid)
 
     def kernel(arr: np.ndarray) -> np.ndarray:
         # the image of any distribution is supported below the peak
         out = np.ones_like(arr)
         mask = arr < quarter
         if mask.any():
-            out[mask] = table(arr[mask])
+            out[mask] = np.interp(_arcsine_kernel(arr[mask]), u, values)
         return out
 
     provenance = f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]({base.provenance})"

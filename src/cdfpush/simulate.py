@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, _as_unit_array, _restore, sample
+from .distributions import DistSpec, sample
 from .errors import DegenerateOrbitError, DomainError, ParameterError
 from .pushforward import validate_map_param
 
@@ -23,7 +23,6 @@ __all__ = [
     "Trajectory",
     "ensemble_push",
     "ergodic_empirical",
-    "logistic_step",
     "trajectory",
 ]
 
@@ -34,13 +33,6 @@ DEGENERATE_SPAN = 1e-15
 ERGODIC_X0_RANGE = (0.01, 0.99)
 MAX_ERGODIC_RETRIES = 8
 MIN_ERGODIC_STEPS = 10_000
-
-
-def logistic_step(r, x):
-    """One application of x -> r*x*(1-x); vectorized over x."""
-    rr = validate_map_param(r)
-    arr, scalar = _as_unit_array(x, "x")
-    return _restore(rr * arr * (1.0 - arr), scalar)
 
 
 @dataclass(frozen=True, eq=False)

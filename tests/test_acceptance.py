@@ -13,12 +13,12 @@ import pytest
 
 from cdfpush import (
     DistSpec,
-    cdf_violation,
     ergodic_empirical,
     iterate_pushforward,
     ks_band,
     ks_statistic,
     pushforward_cdf,
+    standard_grid,
 )
 from cdfpush.cli import main
 from cdfpush.verify import (
@@ -34,6 +34,16 @@ from cdfpush.verify import (
 
 KS_MATRIX_SEED_BASE = 2000
 ERGODIC_SEEDS = range(10)
+
+
+def cdf_violation(F, m: int) -> float:
+    """Worst violation of CDF validity for F over the standard grid:
+    endpoint deviation from 0 and 1, any decreasing step, and any
+    excursion outside [0, 1]."""
+    v = np.asarray(F(standard_grid(m)), dtype=float)
+    worst_dip = max(0.0, -float(np.diff(v).min()))
+    out_of_range = max(0.0, float(v.max()) - 1.0, -float(v.min()))
+    return max(abs(float(v[0])), abs(float(v[-1]) - 1.0), worst_dip, out_of_range)
 
 
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float, budget: float) -> None:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from cdfpush import (
-    Cdf,
     DistSpec,
     ParameterError,
-    cdf_violation,
     convergence_table,
     fixed_point_residual,
     iterate_pushforward,
@@ -100,19 +98,6 @@ class TestFixedPointResidual:
         # the invariant arcsine law
         residual = fixed_point_residual(K_HALF, 4.0, 4096)
         assert 0.02 < residual < 0.05
-
-
-class TestCdfViolation:
-    def test_zero_for_valid(self):
-        assert cdf_violation(A, 2000) == 0.0
-
-    def test_detects_bad_endpoint(self):
-        bad = Cdf(lambda arr: 0.1 + 0.9 * arr, "test")
-        assert cdf_violation(bad, 100) == pytest.approx(0.1, abs=1e-12)
-
-    def test_detects_decrease(self):
-        bad = Cdf(lambda arr: arr - 0.2 * np.sin(2.0 * np.pi * arr), "test")
-        assert cdf_violation(bad, 1000) > 0.01
 
 
 class TestConvergenceTable:

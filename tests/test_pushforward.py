@@ -16,7 +16,6 @@ from cdfpush import (
     Cdf,
     DistSpec,
     DomainError,
-    GridCdf,
     MonotonicityError,
     ParameterError,
     ResourceLimitError,
@@ -24,7 +23,6 @@ from cdfpush import (
     iterate_pushforward,
     preimage_pair,
     pushforward_cdf,
-    q_r,
     standard_grid,
     sup_distance,
     tabulate,
@@ -64,14 +62,19 @@ class TestStandardGrid:
 
 
 class TestPreimages:
+    @staticmethod
+    def half_width(r, y):
+        # q = sqrt(1/4 - y/r), the distance of the upper preimage from 1/2
+        return preimage_pair(r, y)[1] - 0.5
+
     def test_q_point_values(self):
-        assert q_r(4.0, 0.0) == 0.5
-        assert q_r(4.0, 0.75) == pytest.approx(0.25, abs=1e-15)
-        assert q_r(2.0, 0.6) == 0.0
+        assert self.half_width(4.0, 0.0) == 0.5
+        assert self.half_width(4.0, 0.75) == pytest.approx(0.25, abs=1e-15)
+        assert self.half_width(2.0, 0.6) == 0.0
 
     @given(map_params, unit_floats)
     def test_q_range(self, r, y):
-        q = q_r(r, y)
+        q = self.half_width(r, y)
         assert 0.0 <= q <= 0.5
 
     def test_pair_point_values(self):
@@ -158,6 +161,14 @@ class TestIterate:
         assert it.strategy == "exact"
         assert it.provenance == base.provenance
 
+    @pytest.mark.parametrize("strategy", ["auto", "exact", "grid"])
+    def test_zero_steps_is_exact_on_every_strategy(self, strategy):
+        # no step is taken, so no grid is built whatever was asked for
+        base = DistSpec("beta", 2.5, 3.5).cdf()
+        it = iterate_pushforward(base, 3.5, 0, strategy=strategy)
+        assert it.strategy == "exact"
+        assert it.fn is base.fn and it.provenance == base.provenance
+
     def test_one_step_matches_kumaraswamy(self):
         it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 1)
         y = standard_grid(4096)
@@ -243,17 +254,27 @@ class TestIterateContract:
 class TestTabulate:
     def test_uniform_values_equal_knots(self):
         table = tabulate(DistSpec("uniform").cdf(), 4)
-        assert np.array_equal(table.values, table.grid)
+        knots = standard_grid(4)
+        assert np.array_equal(table(knots), knots)
 
     def test_kumaraswamy_closed_form(self):
         table = tabulate(DistSpec("kumaraswamy", 1.0, 0.5).cdf(), 512)
-        assert np.max(np.abs(table.values - (1.0 - np.sqrt(1.0 - table.grid)))) <= 1e-14
+        knots = standard_grid(512)
+        assert np.max(np.abs(table(knots) - (1.0 - np.sqrt(1.0 - knots)))) <= 1e-14
 
     def test_arcsine_pushforward_tabulation(self):
         A = DistSpec("arcsine").cdf()
         pushed = tabulate(pushforward_cdf(A, 4.0), 4096)
         plain = tabulate(A, 4096)
-        assert np.max(np.abs(pushed.values - plain.values)) <= 1e-10
+        knots = standard_grid(4096)
+        assert np.max(np.abs(pushed(knots) - plain(knots))) <= 1e-10
+
+    def test_is_a_cdf_with_grid_provenance(self):
+        table = tabulate(DistSpec("arcsine").cdf(), 64)
+        assert type(table) is Cdf
+        assert table.provenance == "grid[m=64](closed-form:arcsine)"
+        scaled = tabulate(pushforward_cdf(DistSpec("uniform").cdf(), 2.0), 64, support_top=0.5)
+        assert scaled.provenance == "grid[m=64](pushforward[r=2](closed-form:uniform))"
 
     def test_interpolation_accuracy_off_knots(self):
         table = tabulate(DistSpec("kumaraswamy", 1.0, 0.5).cdf(), 4096)
@@ -268,7 +289,7 @@ class TestTabulate:
     def test_support_scaled_grid(self):
         pushed = pushforward_cdf(DistSpec("uniform").cdf(), 2.0)
         table = tabulate(pushed, 4096, support_top=0.5)
-        assert table.grid[-1] == 1.0 and table.values[-1] == 1.0
+        assert table(0.5) == 1.0 and table(1.0) == 1.0
         # resolution at the interior support edge: the closed form there
         # is 1 - sqrt(2)*sqrt(1/2 - y)
         y = np.linspace(0.0, 0.5, 4001)
@@ -281,29 +302,112 @@ class TestTabulate:
     def test_support_top_validation(self):
         with pytest.raises(ParameterError):
             tabulate(DistSpec("uniform").cdf(), 16, support_top=0.0)
+        # positive, but so small that knots coincide
+        with pytest.raises(ParameterError):
+            tabulate(DistSpec("uniform").cdf(), 64, support_top=1e-321)
+
+
+def _settled(raw):
+    """The table `tabulate` keeps of raw values at its knots: clipped to
+    [0, 1], pinned to 0 and 1 at the ends, dips flattened by a running
+    maximum."""
+    values = np.clip(raw, 0.0, 1.0)
+    values[0] = 0.0
+    values = np.maximum.accumulate(values)
+    values[-1] = 1.0
+    return values
+
+
+# a CDF that wobbles by less than the rounding slack on its flat top, so
+# that at the knots it both dips and exceeds 1
+NEARLY = Cdf(lambda arr: np.minimum(2.0 * arr, 1.0) + 5e-10 * np.sin(1e3 * arr), "test:nearly")
 
 
 class TestGridCdf:
-    def test_validation(self):
-        g = np.array([0.0, 0.5, 1.0])
-        GridCdf(g, np.array([0.0, 0.3, 1.0]))
-        with pytest.raises(ParameterError):
-            GridCdf(g, np.array([0.1, 0.3, 1.0]))
-        with pytest.raises(ParameterError):
-            GridCdf(g, np.array([0.0, 0.3, 0.9]))
-        with pytest.raises(ParameterError):
-            GridCdf(g, np.array([0.0, -0.1, 1.0]))
-        with pytest.raises(ParameterError):
-            GridCdf(np.array([0.0, 0.5, 0.9]), np.array([0.0, 0.3, 1.0]))
+    """The `Cdf` that `tabulate` returns."""
 
     def test_interpolates_through_knots(self):
-        table = tabulate(DistSpec("arcsine").cdf(), 64)
-        assert np.array_equal(table(table.grid), table.values)
+        for F in (DistSpec("arcsine").cdf(), DistSpec("beta", 2.5, 3.5).cdf(), NEARLY):
+            for top in (1.0, 0.875):
+                knots = standard_grid(64)
+                if top < 1.0:
+                    knots = np.append(top * knots, 1.0)
+                table = tabulate(F, 64, support_top=top)
+                assert np.array_equal(table(knots), _settled(F(knots))), (F.provenance, top)
+
+    def test_settling_is_visible(self):
+        # so the knot test above sees a dip flattened and a value clipped
+        raw = NEARLY(np.append(0.875 * standard_grid(64), 1.0))
+        assert -1e-9 < np.diff(raw).min() < 0.0
+        assert 1.0 < raw.max() < 1.0 + 1e-9
 
     def test_domain_checked(self):
         table = tabulate(DistSpec("uniform").cdf(), 16)
         with pytest.raises(DomainError):
             table(1.0001)
+
+
+class _TableCdf:
+    """A reference grid interpolant, written out on its own: a table of
+    values at the knots, interpolated in the arcsine coordinate."""
+
+    def __init__(self, grid, values):
+        self.values = values
+        self.u_knots = (2.0 / np.pi) * np.arcsin(np.sqrt(grid))
+
+    def __call__(self, y):
+        arr = np.asarray(y, dtype=float)
+        return np.interp((2.0 / np.pi) * np.arcsin(np.sqrt(arr)), self.u_knots, self.values)
+
+
+def _reference_tabulate(F, grid):
+    values = np.asarray(F(grid), dtype=float)
+    assert float(np.diff(values).min()) >= -1e-9
+    return _TableCdf(grid, _settled(values))
+
+
+def _retabulated_chain(F0, r, n):
+    """n-fold re-tabulation, `tabulate(pushforward_cdf(table, r))`, with
+    the iterate set to 1 from the peak r/4 on."""
+    grid = standard_grid(4096)
+    table = _reference_tabulate(F0, grid)
+    for _ in range(n):
+        table = _reference_tabulate(pushforward_cdf(table, r), grid)
+
+    def iterate(y):
+        out = np.ones_like(y)
+        mask = y < r / 4.0
+        out[mask] = table(y[mask])
+        return out
+
+    return iterate
+
+
+GRID_CHAIN_CASES = [
+    ("uniform", 4.0, 13),
+    ("uniform", 4.0, 14),
+    ("uniform", 4.0, 40),
+    ("beta:2.5,3.5", 3.5, 13),
+    ("beta:2.5,3.5", 3.7, 16),
+    ("kumaraswamy:2,3", 2.0, 20),
+    ("arcsine", 3.9, 30),
+]
+
+
+class TestGridChain:
+    """The grid strategy steps value arrays at fixed knots; it must agree
+    bit for bit with re-tabulating the one-step operator n times."""
+
+    @pytest.mark.parametrize("init, r, n", GRID_CHAIN_CASES)
+    def test_matches_repeated_tabulation(self, init, r, n):
+        base = DistSpec.parse(init).cdf()
+        y = np.concatenate([standard_grid(4096), np.random.default_rng(n).random(20_000)])
+        got = iterate_pushforward(base, r, n, strategy="grid")(y)
+        assert np.array_equal(got, _retabulated_chain(base, r, n)(y))
+
+    def test_dip_past_the_slack_raises(self):
+        with pytest.raises(MonotonicityError):
+            iterate_pushforward(Cdf(lambda arr: arr - 0.2 * np.sin(2.0 * np.pi * arr), "test"), 4.0, 13)
 
 
 class TestPreimageIdentities:

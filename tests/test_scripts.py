@@ -40,6 +40,18 @@ def test_convergence_scan_prints_the_table(convergence_scan, capsys):
         assert [float(v) for v in printed[1:]] == [row.to_uniform, row.to_kumaraswamy, row.to_arcsine]
 
 
+@pytest.mark.parametrize(
+    "bad", [["--n-max", "1"], ["--r", "5"], ["--grid", "1"]], ids=["n-max", "r", "grid"]
+)
+def test_convergence_scan_rejects_bad_parameters(convergence_scan, capsys, bad):
+    # a usage error, as `cdfpush` reports one: exit 2 and one line on stderr
+    assert convergence_scan.main(bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_figure_data_matches_the_cli(figure_data, capsys):
     assert figure_data.main(["--grid", "64"]) == 0
     script_out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from cdfpush import (
     ergodic_empirical,
     ks_band,
     ks_statistic,
-    logistic_step,
+    sample,
     trajectory,
 )
 
@@ -21,26 +21,38 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestLogisticStep:
+    """One step x -> r*x*(1-x), taken by `trajectory` for one point and
+    by `ensemble_push` for a whole sample."""
+
+    @staticmethod
+    def step(r, x):
+        return float(trajectory(r, x, 1, burn_in=0).states[0])
+
     def test_point_values(self):
-        assert logistic_step(4.0, 0.5) == 1.0
-        assert logistic_step(4.0, 0.0) == 0.0
-        assert logistic_step(4.0, 1.0) == 0.0
-        assert logistic_step(2.0, 0.5) == 0.5
+        assert self.step(4.0, 0.5) == 1.0
+        assert self.step(4.0, 0.0) == 0.0
+        assert self.step(4.0, 1.0) == 0.0
+        assert self.step(2.0, 0.5) == 0.5
 
     def test_vectorized(self):
-        x = np.array([0.0, 0.25, 0.5, 1.0])
-        assert np.array_equal(logistic_step(4.0, x), np.array([0.0, 0.75, 1.0, 0.0]))
+        spec = DistSpec("empirical", samples=np.array([0.0, 0.25, 0.5, 1.0]))
+        pushed = ensemble_push(spec, 4.0, 1, 400, 0).samples
+        assert set(np.unique(pushed)) == {0.0, 0.75, 1.0}
+        x = sample(spec, 400, 0)
+        assert np.array_equal(pushed, np.sort(4.0 * x * (1.0 - x)))
 
     @given(map_params, unit_floats)
     def test_range(self, r, x):
-        y = logistic_step(r, x)
+        y = self.step(r, x)
         assert 0.0 <= y <= r / 4.0 + 1e-16
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            logistic_step(4.0, 1.5)
+            trajectory(4.0, 1.5, 1)
         with pytest.raises(ParameterError):
-            logistic_step(5.0, 0.5)
+            trajectory(5.0, 0.5, 1)
+        with pytest.raises(ParameterError):
+            ensemble_push(DistSpec("uniform"), 5.0, 1, 100, 0)
 
 
 class TestTrajectory:
