@@ -8,20 +8,19 @@ Kumaraswamy, and arcsine closed forms, and writes one row per depth.
 Usage:
     python3 scripts/convergence_scan.py --n-max 12 --out convergence.csv
 
-A bad parameter prints one `error:` line to stderr and exits 2, the
+The table goes through the writer of `cdfpush` (floats at `%.17g`), with
+`r` and `grid` as its CSV footer and its JSON meta. A bad parameter or an
+unwritable `--out` prints one `error:` line to stderr and exits 2, the
 usage-error code of `cdfpush`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from cdfpush import DomainError, ParameterError, convergence_table
-from cdfpush.cli import EXIT_USAGE
-
-COLUMNS = ("n", "to_uniform", "to_kumaraswamy", "to_arcsine")
+from cdfpush.cli import EXIT_OK, EXIT_USAGE, _emit_table
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,35 +38,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        report = convergence_table(args.n_max, m=args.grid, r=args.r)
+        columns = convergence_table(args.n_max, m=args.grid, r=args.r)
+        _emit_table(columns, {}, {"r": args.r, "grid": args.grid}, args.format, args.out)
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cols = report.columns()
-
-    if args.format == "json":
-        payload = {
-            "meta": {"r": report.r, "grid": report.grid_size},
-            "columns": {k: list(v) for k, v in cols.items()},
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [",".join(COLUMNS)]
-        for i in range(len(cols["n"])):
-            lines.append(",".join(
-                str(cols["n"][i]) if name == "n" else "%.17g" % cols[name][i]
-                for name in COLUMNS
-            ))
-        lines.append("# r = %g" % report.r)
-        lines.append("# grid = %d" % report.grid_size)
-        text = "\n".join(lines) + "\n"
-
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -5,8 +5,6 @@ verification."""
 __version__ = "0.1.0"
 
 from .analysis import (
-    ConvergenceReport,
-    ConvergenceRow,
     convergence_table,
     fixed_point_residual,
     ks_band,
@@ -53,8 +51,6 @@ __all__ = [
     "Cdf",
     "CheckResult",
     "ConvergenceError",
-    "ConvergenceReport",
-    "ConvergenceRow",
     "DEFAULT_GRID_SIZE",
     "DegenerateOrbitError",
     "DistSpec",

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import DistSpec
@@ -12,8 +10,6 @@ from .errors import ParameterError
 from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, pushforward_cdf, standard_grid
 
 __all__ = [
-    "ConvergenceReport",
-    "ConvergenceRow",
     "convergence_table",
     "fixed_point_residual",
     "ks_band",
@@ -85,40 +81,14 @@ def fixed_point_residual(F, r, m: int = DEFAULT_GRID_SIZE) -> float:
     return sup_distance(pushforward_cdf(F, r), F, m)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """Sup distances of the n-th uniform iterate to the three reference laws."""
-
-    n: int
-    to_uniform: float
-    to_kumaraswamy: float
-    to_arcsine: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Distance table of iterated pushforwards of the uniform CDF.
-
-    References: the uniform CDF, the two-step closed form
-    (Kumaraswamy with both shapes 1/2), and the arcsine CDF.
-    """
-
-    rows: tuple[ConvergenceRow, ...]
-    grid_size: int
-    r: float
-
-    def columns(self) -> dict[str, list]:
-        return {
-            "n": [row.n for row in self.rows],
-            "to_uniform": [row.to_uniform for row in self.rows],
-            "to_kumaraswamy": [row.to_kumaraswamy for row in self.rows],
-            "to_arcsine": [row.to_arcsine for row in self.rows],
-        }
-
-
-def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> ConvergenceReport:
+def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> dict[str, np.ndarray]:
     """Distances of D_n (the n-fold pushforward of the uniform CDF) to the
-    uniform, Kumaraswamy(1/2, 1/2), and arcsine CDFs for n = 0..n_max."""
+    uniform, Kumaraswamy(1/2, 1/2), and arcsine CDFs for n = 0..n_max.
+
+    Returns the columns `n` (integers) and `to_uniform`, `to_kumaraswamy`,
+    `to_arcsine` (sup distances on the standard grid of size m), each an
+    array with one entry per depth.
+    """
     if int(n_max) < 2:
         raise ParameterError(f"n_max must be >= 2; got {n_max!r}")
     uniform = DistSpec("uniform").cdf()
@@ -127,8 +97,14 @@ def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> ConvergenceR
         np.asarray(F(grid), dtype=float)
         for F in (uniform, DistSpec("kumaraswamy", 0.5, 0.5).cdf(), DistSpec("arcsine").cdf())
     ]
-    rows = []
-    for n in range(int(n_max) + 1):
+    depths = np.arange(int(n_max) + 1)
+    gaps = np.empty((depths.size, len(references)))
+    for n in range(depths.size):
         values = np.asarray(iterate_pushforward(uniform, r, n)(grid), dtype=float)
-        rows.append(ConvergenceRow(n, *(_sup_gap(values, ref) for ref in references)))
-    return ConvergenceReport(rows=tuple(rows), grid_size=int(m), r=float(r))
+        gaps[n] = [_sup_gap(values, ref) for ref in references]
+    return {
+        "n": depths,
+        "to_uniform": gaps[:, 0],
+        "to_kumaraswamy": gaps[:, 1],
+        "to_arcsine": gaps[:, 2],
+    }

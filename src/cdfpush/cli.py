@@ -16,6 +16,7 @@ import argparse
 import platform
 import json
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -66,80 +67,81 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _emit_table(columns: dict[str, np.ndarray], meta: dict, footer: dict, args: argparse.Namespace) -> None:
-    """Write a column table as CSV (footer as `# key = value` lines) or JSON."""
-    if args.fmt == "json":
+def _cells(values) -> list[str]:
+    values = np.asarray(values)
+    if values.dtype.kind == "f":  # one format for the whole column: the hot path
+        return [f"{v:.17g}" for v in values.tolist()]
+    return [_format_value(v) for v in values.tolist()]
+
+
+def _emit_table(columns: dict, meta: dict, footer: dict, fmt: str, out: str | None) -> None:
+    """The one table writer: CSV (header, rows with floats at `%.17g`, then
+    the footer as `# key = value` lines; no meta) or JSON (`"meta"`: meta
+    then footer, `"columns"`: lists), to `out` or, when empty, stdout.
+    A path that cannot be written raises `ParameterError`."""
+    if fmt == "json":
         payload = {
             "meta": {**meta, **footer},
-            "columns": {name: [float(v) for v in values] for name, values in columns.items()},
+            "columns": {name: np.asarray(values).tolist() for name, values in columns.items()},
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_text(json.dumps(payload, indent=2) + "\n", out)
         return
-    lines = [",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
-    for key, value in footer.items():
-        lines.append(f"# {key} = {_format_value(value)}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    rows = zip(*(_cells(values) for values in columns.values()))
+    lines = [",".join(columns), *(",".join(row) for row in rows)]
+    lines += [f"# {key} = {_format_value(value)}" for key, value in footer.items()]
+    _write_text("\n".join(lines) + "\n", out)
+
+
+def _iterate_columns(args: argparse.Namespace, steps: int) -> dict[str, np.ndarray]:
+    """The grid `y` and the iterates D0..D<steps> of `--init` on it."""
+    base = DistSpec.parse(args.init)
+    grid = standard_grid(args.grid)
+    columns = {"y": grid}
+    for n in range(steps + 1):
+        iterate = iterate_pushforward(base.cdf(), args.r, n)
+        columns[f"D{n}"] = np.asarray(iterate(grid), dtype=float)
+    return columns
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise ParameterError(f"--steps must be >= 0; got {args.steps}")
-    base = DistSpec.parse(args.init)
-    grid = standard_grid(args.grid)
-    columns: dict[str, np.ndarray] = {"y": grid}
-    for n in range(args.steps + 1):
-        iterate = iterate_pushforward(base.cdf(), args.r, n)
-        columns[f"D{n}"] = np.asarray(iterate(grid), dtype=float)
-    _emit_table(columns, _meta(args, init=args.init, steps=args.steps), {}, args)
+    columns = _iterate_columns(args, args.steps)
+    _emit_table(columns, _meta(args, init=args.init, steps=args.steps), {}, args.fmt, args.out)
     return EXIT_OK
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    base = DistSpec.parse(args.init)
-    grid = standard_grid(args.grid)
-    columns: dict[str, np.ndarray] = {"y": grid}
-    for n in range(5):
-        iterate = iterate_pushforward(base.cdf(), args.r, n)
-        columns[f"D{n}"] = np.asarray(iterate(grid), dtype=float)
+    columns = _iterate_columns(args, 4)
+    grid = columns["y"]
     columns["U"] = grid.copy()
     columns["K"] = np.asarray(cdf_kumaraswamy(0.5, 0.5, grid), dtype=float)
     columns["B"] = np.asarray(cdf_beta(0.5, 0.5, grid), dtype=float)
-    _emit_table(columns, _meta(args, init=args.init), {}, args)
+    _emit_table(columns, _meta(args, init=args.init), {}, args.fmt, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = run_verification(r=args.r, seed=args.seed, n_samples=args.n, grid=args.grid)
     all_pass = all(check.passed for check in checks)
+    meta = _meta(args, n=args.n)
     if args.fmt == "json":
-        payload = {
-            "meta": _meta(args, n=args.n),
-            "checks": [
-                {
-                    "name": check.name,
-                    "value": check.value,
-                    "threshold": check.threshold,
-                    "passed": check.passed,
-                }
-                for check in checks
-            ],
-        }
+        payload = {"meta": meta, "checks": [asdict(check) for check in checks]}
         _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = ["check,value,threshold,status"]
-        for check in checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(f"{check.name},{check.value:.17g},{check.threshold:.17g},{status}")
-        lines.append(f"# all_pass = {_format_value(all_pass)}")
-        _write_text("\n".join(lines) + "\n", args.out)
+        names, values, thresholds, passed = zip(*map(astuple, checks))
+        statuses = ["PASS" if ok else "FAIL" for ok in passed]
+        columns = {"check": names, "value": values, "threshold": thresholds, "status": statuses}
+        _emit_table(columns, meta, {"all_pass": all_pass}, args.fmt, args.out)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
@@ -176,7 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"the empirical CDF reflects that attractor, not an ergodic average",
                 file=sys.stderr,
             )
-    _emit_table(columns, meta, footer, args)
+    _emit_table(columns, meta, footer, args.fmt, args.out)
     return EXIT_OK
 
 

@@ -184,3 +184,18 @@ class TestExitCodes:
     def test_orbit_too_short(self, capsys):
         code, _, _ = run_cli(["simulate", "--steps", "100"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["iterate", "--steps", "1", "--grid", "8"], ["verify", "--n", "2000", "--grid", "64"]],
+        ids=["iterate", "verify"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv, fmt):
+        target = tmp_path / "missing" / "table.out"
+        code, out, err = run_cli(argv + ["--format", fmt, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not target.exists()

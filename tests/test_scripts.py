@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/, run through their `main`."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,14 +35,33 @@ def test_convergence_scan_prints_the_table(convergence_scan, capsys):
     assert lines[0] == "n,to_uniform,to_kumaraswamy,to_arcsine"
     assert lines[-2:] == ["# r = 4", "# grid = 64"]
     rows = [line.split(",") for line in lines[1:-2]]
-    report = convergence_table(4, 64)
-    assert [int(row[0]) for row in rows] == [row.n for row in report.rows]
-    for printed, row in zip(rows, report.rows):
-        assert [float(v) for v in printed[1:]] == [row.to_uniform, row.to_kumaraswamy, row.to_arcsine]
+    cols = convergence_table(4, 64)
+    assert [int(row[0]) for row in rows] == cols["n"].tolist()
+    for i, printed in enumerate(rows):
+        assert [float(v) for v in printed[1:]] == [
+            cols["to_uniform"][i], cols["to_kumaraswamy"][i], cols["to_arcsine"][i]
+        ]
+
+
+def test_convergence_scan_json(convergence_scan, capsys):
+    assert convergence_scan.main(["--n-max", "4", "--grid", "64", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["meta"] == {"r": 4.0, "grid": 64}
+    assert all(type(n) is int for n in data["columns"]["n"])
+    cols = convergence_table(4, 64)
+    assert data["columns"] == {name: values.tolist() for name, values in cols.items()}
+
+
+def test_convergence_scan_footer_prints_r_at_full_precision(convergence_scan, capsys):
+    assert convergence_scan.main(["--n-max", "2", "--grid", "8", "--r", "3.7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["# r = 3.7000000000000002", "# grid = 8"]
 
 
 @pytest.mark.parametrize(
-    "bad", [["--n-max", "1"], ["--r", "5"], ["--grid", "1"]], ids=["n-max", "r", "grid"]
+    "bad",
+    [["--n-max", "1"], ["--r", "5"], ["--grid", "1"], ["--n-max", "2", "--grid", "8", "--out", "."]],
+    ids=["n-max", "r", "grid", "out"],
 )
 def test_convergence_scan_rejects_bad_parameters(convergence_scan, capsys, bad):
     # a usage error, as `cdfpush` reports one: exit 2 and one line on stderr
