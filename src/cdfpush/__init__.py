@@ -32,6 +32,7 @@ from .pushforward import (
     EXACT_ITERATION_LIMIT,
     IterateCdf,
     iterate_pushforward,
+    iterates,
     preimage_pair,
     pushforward_cdf,
     standard_grid,
@@ -70,6 +71,7 @@ __all__ = [
     "ergodic_empirical",
     "fixed_point_residual",
     "iterate_pushforward",
+    "iterates",
     "ks_band",
     "ks_statistic",
     "preimage_pair",

@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .distributions import DistSpec
+from .distributions import DistSpec, _integer
 from .errors import ParameterError
-from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, pushforward_cdf, standard_grid
+from .pushforward import DEFAULT_GRID_SIZE, iterates, pushforward_cdf, standard_grid
 
 __all__ = [
     "convergence_table",
@@ -87,9 +87,10 @@ def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> dict[str, np
 
     Returns the columns `n` (integers) and `to_uniform`, `to_kumaraswamy`,
     `to_arcsine` (sup distances on the standard grid of size m), each an
-    array with one entry per depth.
+    array with one entry per depth.  The iterates come from one call of
+    `iterates`, so each depth is evaluated once and the work is shared.
     """
-    if int(n_max) < 2:
+    if _integer(n_max, "n_max") < 2:
         raise ParameterError(f"n_max must be >= 2; got {n_max!r}")
     uniform = DistSpec("uniform").cdf()
     grid = standard_grid(m)
@@ -97,13 +98,10 @@ def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> dict[str, np
         np.asarray(F(grid), dtype=float)
         for F in (uniform, DistSpec("kumaraswamy", 0.5, 0.5).cdf(), DistSpec("arcsine").cdf())
     ]
-    depths = np.arange(int(n_max) + 1)
-    gaps = np.empty((depths.size, len(references)))
-    for n in range(depths.size):
-        values = np.asarray(iterate_pushforward(uniform, r, n)(grid), dtype=float)
-        gaps[n] = [_sup_gap(values, ref) for ref in references]
+    rows = iterates(uniform, r, n_max, grid)
+    gaps = np.array([[_sup_gap(row, ref) for ref in references] for row in rows])
     return {
-        "n": depths,
+        "n": np.arange(len(rows)),
         "to_uniform": gaps[:, 0],
         "to_kumaraswamy": gaps[:, 1],
         "to_arcsine": gaps[:, 2],

@@ -17,6 +17,7 @@ import platform
 import json
 import sys
 from dataclasses import asdict, astuple
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, standard_grid
+from .pushforward import DEFAULT_GRID_SIZE, iterate_pushforward, iterates, standard_grid
 from .simulate import DEFAULT_BURN_IN, ensemble_push, ergodic_empirical
 from .verify import run_verification
 
@@ -66,50 +67,68 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(pieces: list[str], out: str | None) -> None:
+    """Write the strings in order to `out` or, when empty, stdout."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
-        Path(out).write_text(text)
+        with Path(out).open("w") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _cells(values) -> list[str]:
-    values = np.asarray(values)
-    if values.dtype.kind == "f":  # one format for the whole column: the hot path
-        return [f"{v:.17g}" for v in values.tolist()]
-    return [_format_value(v) for v in values.tolist()]
+# the items of a list at the depth of a column under `json.dumps(..., indent=2)`;
+# without `indent` the encoder runs in C
+_JSON_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_column(values) -> str:
+    text = _JSON_ITEMS.encode(np.asarray(values).tolist())
+    return text if text == "[]" else f"[\n      {text[1:-1]}\n    ]"
 
 
 def _emit_table(columns: dict, meta: dict, footer: dict, fmt: str, out: str | None) -> None:
     """The one table writer: CSV (header, rows with floats at `%.17g`, then
     the footer as `# key = value` lines; no meta) or JSON (`"meta"`: meta
     then footer, `"columns"`: lists), to `out` or, when empty, stdout.
-    A path that cannot be written raises `ParameterError`."""
+    A path that cannot be written raises `ParameterError`.
+
+    The bytes are those of `json.dumps(payload, indent=2)` and of a
+    per-cell `%.17g` join; the CSV body is formatted by one `%` operation
+    and each JSON column by the C encoder."""
     if fmt == "json":
-        payload = {
-            "meta": {**meta, **footer},
-            "columns": {name: np.asarray(values).tolist() for name, values in columns.items()},
-        }
-        _write_text(json.dumps(payload, indent=2) + "\n", out)
+        # the meta block without its closing "\n}", then the columns
+        pieces = [json.dumps({"meta": {**meta, **footer}}, indent=2)[:-2], ',\n  "columns": {']
+        for i, (name, values) in enumerate(columns.items()):
+            pieces += [",\n    " if i else "\n    ", json.dumps(name), ": ", _json_column(values)]
+        pieces.append("\n  }\n}\n" if columns else "}\n}\n")
+        _write_text(pieces, out)
         return
-    rows = zip(*(_cells(values) for values in columns.values()))
-    lines = [",".join(columns), *(",".join(row) for row in rows)]
-    lines += [f"# {key} = {_format_value(value)}" for key, value in footer.items()]
-    _write_text("\n".join(lines) + "\n", out)
+    cells, template = [], []
+    for values in map(np.asarray, columns.values()):
+        if values.dtype.kind == "f":  # one format for the whole column: the hot path
+            cells.append(values.tolist())
+            template.append("%.17g")
+        else:
+            cells.append([_format_value(v) for v in values.tolist()])
+            template.append("%s")
+    rows = min(map(len, cells), default=0)
+    pieces = [",".join(columns), "\n"]
+    if rows:
+        body = "\n".join([",".join(template)] * rows)
+        pieces += [body % tuple(chain.from_iterable(zip(*cells))), "\n"]
+    pieces += [f"# {key} = {_format_value(value)}\n" for key, value in footer.items()]
+    _write_text(pieces, out)
 
 
 def _iterate_columns(args: argparse.Namespace, steps: int) -> dict[str, np.ndarray]:
     """The grid `y` and the iterates D0..D<steps> of `--init` on it."""
     base = DistSpec.parse(args.init)
     grid = standard_grid(args.grid)
-    columns = {"y": grid}
-    for n in range(steps + 1):
-        iterate = iterate_pushforward(base.cdf(), args.r, n)
-        columns[f"D{n}"] = np.asarray(iterate(grid), dtype=float)
-    return columns
+    rows = iterates(base.cdf(), args.r, steps, grid)
+    return {"y": grid, **{f"D{n}": row for n, row in enumerate(rows)}}
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
@@ -136,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     meta = _meta(args, n=args.n)
     if args.fmt == "json":
         payload = {"meta": meta, "checks": [asdict(check) for check in checks]}
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_text([json.dumps(payload, indent=2), "\n"], args.out)
     else:
         names, values, thresholds, passed = zip(*map(astuple, checks))
         statuses = ["PASS" if ok else "FAIL" for ok in passed]

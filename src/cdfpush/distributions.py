@@ -10,6 +10,7 @@ numpy arrays and accept plain floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,6 +57,15 @@ def _as_unit_array(y, name: str = "y") -> tuple[np.ndarray, bool]:
 
 def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
+
+
+def _integer(value, name: str) -> int:
+    """A count or size as an int: Python and NumPy integers pass, anything
+    else (a float, a string) raises instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer; got {value!r}") from None
 
 
 def _positive_param(value, name: str) -> float:

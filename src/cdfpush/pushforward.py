@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .distributions import Cdf, _arcsine_kernel, _as_unit_array, _restore
+from .distributions import Cdf, _arcsine_kernel, _as_unit_array, _integer, _restore
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "EXACT_ITERATION_LIMIT",
     "IterateCdf",
     "iterate_pushforward",
+    "iterates",
     "preimage_pair",
     "pushforward_cdf",
     "standard_grid",
@@ -33,7 +35,9 @@ __all__ = [
 ]
 
 # beyond this depth one exact evaluation costs 2**n base evaluations per
-# point, reached through 2**n - 1 preimage pairs of the depth-first `_pull`
+# point, reached through 2**n - 1 preimage pairs of the depth-first `_pull`;
+# `iterates` evaluates depths 0..limit in one traversal, which costs about
+# twice the deepest one, and the deeper ones from one pass of the grid chain
 EXACT_ITERATION_LIMIT = 12
 DEFAULT_GRID_SIZE = 4096
 # rounding slack allowed before a tabulated dip counts as a real failure
@@ -54,7 +58,7 @@ def standard_grid(m: int) -> np.ndarray:
     Knots are uniform in the arcsine coordinate, clustering near both
     endpoints where iterated CDFs have square-root behavior.
     """
-    size = int(m)
+    size = _integer(m, "grid size")
     if size < 2:
         raise ParameterError(f"grid size must be >= 2; got {m!r}")
     i = np.arange(size + 1)
@@ -67,8 +71,12 @@ def standard_grid(m: int) -> np.ndarray:
 def _preimages(t: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
     """Both preimages (lower, upper) of validated points t <= r/4, in the
     cancellation-free form documented at `preimage_pair`."""
-    hi = 0.5 + np.sqrt(0.25 - t / rr)
-    return (t / rr) / hi, hi
+    lo = t / rr
+    hi = 0.25 - lo
+    np.sqrt(hi, out=hi)
+    hi += 0.5
+    lo /= hi
+    return lo, hi
 
 
 def preimage_pair(r, y):
@@ -88,28 +96,44 @@ def preimage_pair(r, y):
     return _restore(lo, scalar), _restore(hi, scalar)
 
 
-def _pull(F, rr: float, n: int, arr: np.ndarray) -> np.ndarray:
-    """Values at arr of the n-fold pushforward of F, depth first.
+def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
+    """Values at arr of the pushforwards of F of depths n-rows+1..n, one
+    row each, from one depth-first traversal; rows <= n + 1.
 
     arr must already be validated: preimages of points in [0, 1] stay
     in [0, 1], so no level checks its domain again.  Each level splits
     the points below the peak r/4 into one preimage pair and recurses
-    on each branch; points at or above the peak are exactly 1.
+    on each branch; points at or above the peak are exactly 1 at every
+    depth >= 1.  The base is called at a node only when depth 0 is one
+    of its rows, so it receives exactly the arrays that the separate
+    evaluation of each depth hands it, and each row is bit for bit that
+    evaluation.  No array that F returned is ever written into.
     """
     if n == 0:
-        return np.asarray(F(arr), dtype=float)
+        return np.asarray(F(arr), dtype=float)[np.newaxis]
     below = arr < rr / 4.0
-    # before the `all` test: an empty array passes it
-    if not below.any():
-        return np.ones_like(arr)
-    whole = below.all()
+    inside = np.count_nonzero(below)
+    whole = inside == below.size
+    deeper = min(rows, n)  # depths 1..n here are depths 0..n-1 at the children
+    out = None  # stays None where the children's combination is the result
+    if not (inside and whole and deeper == rows):
+        out = (np.empty if inside and whole else np.ones)((rows,) + arr.shape)
+        if deeper < rows:
+            out[0] = F(arr)
+        if not inside:
+            return out
     lo, hi = _preimages(arr if whole else arr[below], rr)
-    v = _pull(F, rr, n - 1, lo) + 1.0
-    v -= _pull(F, rr, n - 1, hi)
-    if whole:
+    if whole and out is not None:
+        v = np.add(_pull(F, rr, n - 1, lo, deeper), 1.0, out=out[1:])
+    else:
+        # NumPy adds in place only into a temporary that nothing else
+        # holds, so never into an array that F returned
+        v = _pull(F, rr, n - 1, lo, deeper) + 1.0
+    v -= _pull(F, rr, n - 1, hi, deeper)
+    if out is None:  # the rows = 1 path at a node below the peak: no copy
         return v
-    out = np.ones_like(arr)
-    out[below] = v
+    if not whole:
+        out[rows - deeper:, below] = v
     return out
 
 
@@ -126,7 +150,7 @@ def pushforward_cdf(F, r) -> Cdf:
     tag = getattr(F, "provenance", "callable")
 
     def kernel(arr: np.ndarray) -> np.ndarray:
-        return _pull(F, rr, 1, arr)
+        return _pull(F, rr, 1, arr)[0]
 
     return Cdf(kernel, provenance=f"pushforward[r={rr:g}]({tag})")
 
@@ -189,13 +213,58 @@ class IterateCdf(Cdf):
     """The n-fold pushforward of a base CDF, realized as a `Cdf`.
 
     `strategy` records how evaluation happens: "exact" runs the
-    depth-first pushforward recursion (2**n base evaluations per point;
-    at n = 0 the base itself) while "grid" interpolates a table on the
-    standard grid, built by tabulating the base once and stepping the
-    table's values n times.
+    depth-first pushforward recursion (up to 2**n base evaluations per
+    point; at n = 0 the base itself) while "grid" interpolates the values
+    that the grid chain holds at the knots of the standard grid after n
+    steps.  `iterates` evaluates every depth the same two ways at once.
     """
 
     strategy: str
+
+
+def _depth(n) -> int:
+    steps = _integer(n, "iteration count")
+    if steps < 0:
+        raise ParameterError(f"iteration count must be >= 0; got {n!r}")
+    return steps
+
+
+def _exact_rows(n: int) -> int:
+    """How many of the depths 0..n the "auto" strategy evaluates exactly.
+
+    They are a leading run, since a depth costs at least as much as the
+    one before, and the deeper ones go to the grid chain.  This is the
+    one place that decides between the two strategies.
+    """
+    return min(n, EXACT_ITERATION_LIMIT) + 1
+
+
+def _grid_chain(fn, rr: float, grid: np.ndarray, u: np.ndarray):
+    """Yield the settled values at the knots `grid` (arcsine coordinates
+    `u`) of D_0, D_1, D_2, ... of the base kernel fn, without end.
+
+    The base is tabulated once, at the first `next`.  Each step then
+    gathers at the arcsine coordinates of both preimages of every knot
+    below the peak, which are computed once here (Ulam's method).  The
+    values are bit for bit those of n-fold re-tabulation,
+    `tabulate(pushforward_cdf(table, r))`.
+    """
+    below = grid < rr / 4.0
+    u_lo, u_hi = (_arcsine_kernel(x) for x in _preimages(grid[below], rr))
+    values = _settle(np.array(fn(grid), dtype=float, copy=True), grid)
+    while True:
+        yield values
+        pushed = np.ones_like(grid)
+        v = np.interp(u_lo, u, values) + 1.0
+        v -= np.interp(u_hi, u, values)
+        pushed[below] = v
+        values = _settle(pushed, grid)
+
+
+def _as_cdf(F0) -> Cdf:
+    if isinstance(F0, Cdf):
+        return F0
+    return Cdf(lambda arr: np.asarray(F0(arr), dtype=float), "callable")
 
 
 def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
@@ -205,26 +274,26 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     steps and the grid chain on DEFAULT_GRID_SIZE intervals beyond;
     "exact" above the limit raises ResourceLimitError instead of
     attempting a 2**n-fold evaluation.  n = 0 returns the base CDF
-    unchanged, recorded as "exact" whatever the strategy.
+    unchanged, recorded as "exact" whatever the strategy.  n must be an
+    integer; a float or a string raises ParameterError.
 
-    The exact iterate validates its points once and hands them to one
-    depth-first recursion over the base kernel; its values are bit for
-    bit those of the n-fold composition of `pushforward_cdf`.  The grid
-    chain tabulates the base once and then steps the values at the
-    knots; its values are bit for bit those of n-fold re-tabulation,
-    `tabulate(pushforward_cdf(table, r))`.
+    The exact iterate validates its points once and hands them to the
+    depth-first kernel `_pull` for one row; its values are bit for bit
+    those of the n-fold composition of `pushforward_cdf`.  The grid
+    strategy tabulates the base once, when the iterate is built, and
+    takes the values after n steps of the grid chain.  To evaluate all
+    of D_0..D_n at the same points, `iterates` shares that work.
     """
     rr = validate_map_param(r)
-    steps = int(n)
-    if steps < 0:
-        raise ParameterError(f"iteration count must be >= 0; got {n!r}")
+    steps = _depth(n)
     if strategy not in ("auto", "exact", "grid"):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    base = F0 if isinstance(F0, Cdf) else Cdf(lambda arr: np.asarray(F0(arr), dtype=float), "callable")
+    base = _as_cdf(F0)
+    within = steps < _exact_rows(steps)  # the exact path reaches depth `steps`
     resolved = strategy
     if strategy == "auto":
-        resolved = "exact" if steps <= EXACT_ITERATION_LIMIT else "grid"
-    if resolved == "exact" and steps > EXACT_ITERATION_LIMIT:
+        resolved = "exact" if within else "grid"
+    if resolved == "exact" and not within:
         raise ResourceLimitError(
             f"exact recursion for n={steps} would need 2**{steps} base evaluations "
             f"per point; the supported depth is {EXACT_ITERATION_LIMIT} (use the grid strategy)"
@@ -236,28 +305,17 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
         fn = base.fn
 
         def kernel(arr: np.ndarray) -> np.ndarray:
-            return _pull(fn, rr, steps, arr)
+            return _pull(fn, rr, steps, arr)[0]
 
         provenance = base.provenance
         for _ in range(steps):
             provenance = f"pushforward[r={rr:g}]({provenance})"
         return IterateCdf(kernel, provenance, resolved)
 
-    # the chain steps on value arrays at fixed knots: each step gathers
-    # at the arcsine coordinates of both preimages of every knot below
-    # the peak, which are computed once here (Ulam's method)
     quarter = rr / 4.0
     grid = standard_grid(DEFAULT_GRID_SIZE)
     u = _arcsine_kernel(grid)
-    below = grid < quarter
-    u_lo, u_hi = (_arcsine_kernel(x) for x in _preimages(grid[below], rr))
-    values = _settle(np.array(base(grid), dtype=float, copy=True), grid)
-    for _ in range(steps):
-        pushed = np.ones_like(grid)
-        v = np.interp(u_lo, u, values) + 1.0
-        v -= np.interp(u_hi, u, values)
-        pushed[below] = v
-        values = _settle(pushed, grid)
+    values = next(islice(_grid_chain(base.fn, rr, grid, u), steps, None))
 
     def kernel(arr: np.ndarray) -> np.ndarray:
         # the image of any distribution is supported below the peak
@@ -269,3 +327,31 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
 
     provenance = f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]({base.provenance})"
     return IterateCdf(kernel, provenance, resolved)
+
+
+def iterates(F0, r, n: int, y) -> np.ndarray:
+    """Values at the points y of D_0..D_n, the iterates of the CDF F0
+    under the map, as an (n+1, len(y)) array (y is flattened).
+
+    Row k equals `iterate_pushforward(F0, r, k)(y)` bit for bit, but the
+    work is shared: the depths that "auto" evaluates exactly come from
+    one traversal of `_pull`, which calls the base once per node, and the
+    deeper ones from one pass of the grid chain, which tabulates the
+    base once.  n must be an integer, as for `iterate_pushforward`.
+    """
+    rr = validate_map_param(r)
+    steps = _depth(n)
+    fn = _as_cdf(F0).fn
+    arr = _as_unit_array(y)[0].ravel()
+    exact = _exact_rows(steps)
+    out = np.ones((steps + 1, arr.size))
+    out[:exact] = _pull(fn, rr, exact - 1, arr, rows=exact)
+    if exact <= steps:
+        grid = standard_grid(DEFAULT_GRID_SIZE)
+        u = _arcsine_kernel(grid)
+        mask = arr < rr / 4.0
+        at = _arcsine_kernel(arr[mask])
+        chain = islice(_grid_chain(fn, rr, grid, u), exact, steps + 1)
+        for row, values in zip(out[exact:], chain):
+            row[mask] = np.interp(at, u, values)
+    return out

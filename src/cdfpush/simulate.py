@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, sample
+from .distributions import DistSpec, _integer, sample
 from .errors import DegenerateOrbitError, DomainError, ParameterError
 from .pushforward import validate_map_param
 
@@ -96,10 +96,11 @@ def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) ->
     rr = validate_map_param(r)
     if int(n_samples) < 100:
         raise ParameterError(f"n_samples must be >= 100; got {n_samples!r}")
-    if int(n_steps) < 0:
+    steps = _integer(n_steps, "n_steps")
+    if steps < 0:
         raise ParameterError(f"n_steps must be >= 0; got {n_steps!r}")
     x = sample(dist, int(n_samples), seed)
-    for _ in range(int(n_steps)):
+    for _ in range(steps):
         x = rr * x * (1.0 - x)
     return DistSpec("empirical", samples=x)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdfpush import cdf_kumaraswamy
-from cdfpush.cli import main
+from cdfpush.cli import _emit_table, main
 
 
 def run_cli(argv, capsys):
@@ -161,6 +161,60 @@ class TestSimulate:
         data = json.loads(out)
         assert set(data["columns"]) == {"y", "empirical", "reference"}
         assert data["meta"]["ks_statistic"] < 1.63 / np.sqrt(100_000)
+
+
+# float cells at the edges of `%.17g` and of JSON, next to integer,
+# string and boolean cells
+TABLE = {
+    "x": np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf]),
+    "n": np.arange(8),
+    "s": ["PASS", "FAIL", "a b", 'q"', "\u00fc", "", "x,y", "0.5"],
+    "b": np.array([True, False] * 4),
+}
+META = {"command": "iterate", "r": 3.7, "seed": None}
+FOOTER = {"all_pass": True, "ks": 0.25, "k": 3}
+
+
+class TestTableWriter:
+    """The writer's bytes are those of `json.dumps(payload, indent=2)` and
+    of a per-cell `%.17g` join, written to stdout or to `--out`."""
+
+    @staticmethod
+    def _emitted(columns, fmt, capsys, tmp_path):
+        _emit_table(columns, META, FOOTER, fmt, None)
+        out = capsys.readouterr().out
+        target = tmp_path / f"table.{fmt}"
+        _emit_table(columns, META, FOOTER, fmt, str(target))
+        assert target.read_text() == out
+        return out
+
+    @pytest.mark.parametrize(
+        "columns",
+        [TABLE, {"x": TABLE["x"], "e": np.array([])}, {"e": []}, {}],
+        ids=["cells", "empty-column", "only-empty", "no-columns"],
+    )
+    def test_json_is_json_dumps(self, capsys, tmp_path, columns):
+        payload = {
+            "meta": {**META, **FOOTER},
+            "columns": {name: np.asarray(values).tolist() for name, values in columns.items()},
+        }
+        assert self._emitted(columns, "json", capsys, tmp_path) == json.dumps(payload, indent=2) + "\n"
+
+    def test_csv_is_the_per_cell_join(self, capsys, tmp_path):
+        words = {True: "true", False: "false"}
+        cells = [
+            [f"{v:.17g}" for v in TABLE["x"]],
+            [str(v) for v in TABLE["n"]],
+            TABLE["s"],
+            [words[bool(v)] for v in TABLE["b"]],
+        ]
+        lines = [",".join(TABLE), *(",".join(row) for row in zip(*cells))]
+        lines += ["# all_pass = true", "# ks = 0.25", "# k = 3"]
+        assert self._emitted(TABLE, "csv", capsys, tmp_path) == "\n".join(lines) + "\n"
+
+    def test_csv_without_rows(self, capsys, tmp_path):
+        out = self._emitted({"x": np.array([]), "n": []}, "csv", capsys, tmp_path)
+        assert out == "x,n\n# all_pass = true\n# ks = 0.25\n# k = 3\n"
 
 
 class TestExitCodes:

@@ -20,7 +20,10 @@ from cdfpush import (
     ParameterError,
     ResourceLimitError,
     cdf_kumaraswamy,
+    convergence_table,
+    ensemble_push,
     iterate_pushforward,
+    iterates,
     preimage_pair,
     pushforward_cdf,
     standard_grid,
@@ -192,6 +195,8 @@ class TestIterate:
     def test_negative_steps_rejected(self):
         with pytest.raises(ParameterError):
             iterate_pushforward(DistSpec("uniform").cdf(), 4.0, -1)
+        with pytest.raises(ParameterError):
+            iterates(DistSpec("uniform").cdf(), 4.0, -1, standard_grid(8))
 
     @pytest.mark.parametrize("n", [1, 3, 6, 12])
     def test_strategies_agree(self, n):
@@ -222,11 +227,11 @@ class TestIterateContract:
         assert it.strategy == strategy
 
     @staticmethod
-    def _counted(base):
+    def _counted(base, keep=np.size):
         calls = []
 
         def counting_fn(arr):
-            calls.append(arr.size)
+            calls.append(keep(arr))
             return base.fn(arr)
 
         return dataclasses.replace(base, fn=counting_fn), calls
@@ -249,6 +254,28 @@ class TestIterateContract:
         y = standard_grid(64)
         assert np.array_equal(it(y), iterate_pushforward(base, 4.0, 13)(y))
         assert len(calls) == 1
+
+    def test_iterates_hands_the_base_the_arrays_of_each_depth(self):
+        # one traversal calls the base once per node, on exactly the
+        # arrays that the separate evaluations of depths 0..3 hand it
+        counted, calls = self._counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
+        y = _kernel_grid(4.0)
+        iterates(counted, 4.0, 3, y)
+        together = sorted(calls)
+        calls.clear()
+        for n in range(4):
+            iterate_pushforward(counted, 4.0, n)(y)
+        assert len(together) == 15
+        assert together == sorted(calls)
+
+    def test_iterates_grid_tail_tabulates_the_base_once(self):
+        counted, calls = self._counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
+        y = _kernel_grid(4.0)
+        iterates(counted, 4.0, 12, y)
+        exact = calls.copy()
+        calls.clear()
+        iterates(counted, 4.0, 14, y)
+        assert sorted(calls) == sorted(exact + [standard_grid(4096).tobytes()])
 
 
 class TestTabulate:
@@ -474,6 +501,36 @@ class TestExactKernel:
         exact = iterate_pushforward(DistSpec("beta", 2.5, 3.5).cdf(), 3.5, 6, strategy="exact")
         out = exact(np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+        for n in (0, 6, 14):
+            assert iterates(DistSpec("beta", 2.5, 3.5).cdf(), 3.5, n, []).shape == (n + 1, 0)
+
+    @pytest.mark.parametrize("spec", EXACT_STARTS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
+    def test_iterates_rows_are_each_depth(self, spec, r):
+        # n = 14 crosses the exact limit, so the last rows are grid rows
+        base = spec.cdf()
+        y = _kernel_grid(r)
+        rows = iterates(base, r, 14, y)
+        assert rows.shape == (15, y.size)
+        for n, row in enumerate(rows):
+            assert np.array_equal(row, iterate_pushforward(base, r, n)(y)), n
+
+    @pytest.mark.parametrize("r", [4.0, 3.5])
+    def test_iterates_never_write_into_what_the_base_returns(self, r):
+        # bases that return their own input or a cached array, against
+        # the copying uniform; a write into either would show in y or in
+        # the second call
+        y = _kernel_grid(r)
+        kept = y.copy()
+        cache = {}
+
+        def cached(arr):
+            return cache.setdefault(arr.tobytes(), arr.copy())
+
+        expected = iterates(DistSpec("uniform").cdf(), r, 14, y)
+        for fn in (lambda arr: arr, cached, cached):
+            assert np.array_equal(iterates(Cdf(fn, "test"), r, 14, y), expected)
+        assert np.array_equal(y, kept)
 
     @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, float("nan"), float("inf")])
     def test_entry_checks_domain(self, bad):
@@ -494,3 +551,34 @@ class TestExactKernel:
             closed = 2.0 * np.sin(np.pi * u / 2 ** (n + 1)) ** 2 + np.sin(np.pi * u / 2**n) / np.tan(np.pi / 2**n)
             exact = iterate_pushforward(base, 4.0, n, strategy="exact")
             assert np.max(np.abs(exact(y) - closed)) <= 1e-9, n
+
+
+U = DistSpec("uniform").cdf()
+Y = standard_grid(8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: iterate_pushforward(U, 4.0, 2.7),
+        lambda: iterate_pushforward(U, 4.0, "3"),
+        lambda: iterates(U, 4.0, 2.0, Y),
+        lambda: convergence_table(2.9),
+        lambda: standard_grid(4.7),
+        lambda: tabulate(U, 16.0),
+        lambda: ensemble_push(DistSpec("uniform"), 4.0, 1.5, 1000, 0),
+    ],
+    ids=["iterate-depth", "iterate-depth-str", "iterates-depth", "scan-depth", "grid-size",
+         "tabulate-size", "ensemble-steps"],
+)
+def test_non_integral_count_raises(call):
+    # each was truncated to an int before, silently changing the work done
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert np.array_equal(standard_grid(np.int32(8)), Y)
+    assert np.array_equal(iterate_pushforward(U, 4.0, np.int64(3))(Y), iterate_pushforward(U, 4.0, 3)(Y))
+    assert np.array_equal(iterates(U, 4.0, np.uint8(2), Y), iterates(U, 4.0, 2, Y))
+    assert np.array_equal(convergence_table(np.int64(2), 16)["n"], [0, 1, 2])
