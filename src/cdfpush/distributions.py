@@ -392,11 +392,12 @@ def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
     Closed-form families use inversion of uniform draws; empirical specs
     bootstrap (resample with replacement from the stored samples).
     """
-    if int(n) < 1:
+    count = _integer(n, "sample count")
+    if count < 1:
         raise ParameterError(f"sample count must be >= 1; got {n!r}")
     rng = np.random.default_rng(seed)
     if dist.family == "empirical":
-        idx = rng.integers(0, dist.samples.size, size=int(n))
+        idx = rng.integers(0, dist.samples.size, size=count)
         return dist.samples[idx]
-    u = rng.random(int(n))
+    u = rng.random(count)
     return np.asarray(dist.quantile(u), dtype=float)

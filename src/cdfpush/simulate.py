@@ -71,10 +71,10 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     start = float(x0)
     if not 0.0 <= start <= 1.0:
         raise DomainError(f"x0 must lie in [0, 1]; got {x0!r}")
-    n_record = int(steps)
+    n_record = _integer(steps, "steps")
     if n_record < 1:
         raise ParameterError(f"steps must be >= 1; got {steps!r}")
-    n_burn = int(burn_in)
+    n_burn = _integer(burn_in, "burn_in")
     if n_burn < 0:
         raise ParameterError(f"burn_in must be >= 0; got {burn_in!r}")
     x = start
@@ -94,12 +94,13 @@ def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) ->
     """Sample the spec, push every point n_steps through the map in
     lockstep, and return the final ensemble as an empirical spec."""
     rr = validate_map_param(r)
-    if int(n_samples) < 100:
+    count = _integer(n_samples, "n_samples")
+    if count < 100:
         raise ParameterError(f"n_samples must be >= 100; got {n_samples!r}")
     steps = _integer(n_steps, "n_steps")
     if steps < 0:
         raise ParameterError(f"n_steps must be >= 0; got {n_steps!r}")
-    x = sample(dist, int(n_samples), seed)
+    x = sample(dist, count, seed)
     for _ in range(steps):
         x = rr * x * (1.0 - x)
     return DistSpec("empirical", samples=x)
@@ -126,7 +127,8 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
     returned with the flag set for the caller to inspect.
     """
     rr = validate_map_param(r)
-    if int(total_steps) < MIN_ERGODIC_STEPS:
+    steps = _integer(total_steps, "total_steps")
+    if steps < MIN_ERGODIC_STEPS:
         raise ParameterError(
             f"total_steps must be >= {MIN_ERGODIC_STEPS} for a usable empirical CDF; got {total_steps!r}"
         )
@@ -134,10 +136,10 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
     low, high = ERGODIC_X0_RANGE
     for _ in range(MAX_ERGODIC_RETRIES):
         x0 = low + (high - low) * float(rng.random())
-        run = trajectory(rr, x0, int(total_steps), burn_in)
+        run = trajectory(rr, x0, steps, burn_in)
         if rr == 4.0 and run.degenerate:
             continue
-        return ErgodicRun(DistSpec("empirical", samples=run.states), rr, x0, int(burn_in), run.degenerate)
+        return ErgodicRun(DistSpec("empirical", samples=run.states), rr, x0, run.burn_in, run.degenerate)
     raise DegenerateOrbitError(
         f"all {MAX_ERGODIC_RETRIES} seeded orbits at r={rr:g} collapsed onto a degenerate set"
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fixed_point_residual, ks_band, ks_statistic, sup_distance
-from .distributions import DistSpec, cdf_beta, sample
+from .distributions import DistSpec, _integer, cdf_beta, sample
 from .errors import ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
@@ -136,7 +136,7 @@ def power_transform_ks(
     what makes the family's closed forms line up with beta laws.
     """
     spec = DistSpec("kumaraswamy", alpha, beta)
-    x = sample(spec, int(n), seed)
+    x = sample(spec, n, seed)
     empirical = DistSpec("empirical", samples=x**alpha)
     target = DistSpec("beta", 1.0, beta).cdf()
     return ks_statistic(empirical, target), ks_band(n, 0.99)
@@ -154,7 +154,7 @@ def run_verification(
     with another r deliberately reports them as failed.  The Monte Carlo
     items compare pushed ensembles against the operator at the given r.
     """
-    if int(n_samples) < 100:
+    if _integer(n_samples, "n_samples") < 100:
         raise ParameterError(f"n_samples must be >= 100; got {n_samples!r}")
     checks = [
         _check("one-step-closed-form", one_step_uniform_residual(r, grid), ONE_STEP_TOL),

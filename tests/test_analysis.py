@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cdfpush import (
     DistSpec,
     ParameterError,
     convergence_table,
+    ensemble_push,
     fixed_point_residual,
     iterate_pushforward,
     ks_band,
     ks_statistic,
     sample,
     sup_distance,
+    tabulate,
 )
 
 U = DistSpec("uniform").cdf()
@@ -32,6 +35,8 @@ class TestKsBand:
             ks_band(100, 0.5)
         with pytest.raises(ParameterError):
             ks_band(0, 0.95)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            ks_band(100.9)
 
 
 class TestSupDistance:
@@ -84,6 +89,119 @@ class TestKsStatistic:
             ]
             means.append(float(np.mean(vals)))
         assert means[0] > means[1]
+
+
+def ks_full(empirical, F):
+    """The KS statistic from F at every sorted sample: the oracle of the
+    bracketed `ks_statistic`."""
+    x = empirical.samples
+    n = x.size
+    fx = np.asarray(F(x), dtype=float)
+    ranks = np.arange(1, n + 1, dtype=float)
+    return max(float(np.max(ranks / n - fx)), float(np.max(fx - (ranks - 1.0) / n)))
+
+
+class CountingCdf:
+    """Wraps a CDF and records how many points each call passes."""
+
+    def __init__(self, F):
+        self.F = F
+        self.calls = []
+
+    def __call__(self, y):
+        self.calls.append(np.asarray(y).size)
+        return self.F(y)
+
+
+BETA = DistSpec("beta", 2.5, 3.5)
+EMPIRICAL_REF = DistSpec("empirical", samples=sample(DistSpec("kumaraswamy", 2.0, 3.0), 3000, 11)).cdf()
+
+
+class TestKsBracketing:
+    """`ks_statistic` evaluates the reference only where monotonicity lets
+    the supremum lie; it must give the full-evaluation statistic."""
+
+    @pytest.mark.parametrize(
+        "F", [U, A, K_HALF, K23, EMPIRICAL_REF], ids=["uniform", "arcsine", "kum-half", "kum23", "empirical"]
+    )
+    @pytest.mark.parametrize("draw", ["uniform", "kumaraswamy:2,3"])
+    @pytest.mark.parametrize("n", [1, 16, 17, 1000, 20_000])
+    def test_equals_full_evaluation(self, F, draw, n):
+        emp = DistSpec("empirical", samples=sample(DistSpec.parse(draw), n, n))
+        assert ks_statistic(emp, F) == ks_full(emp, F)
+
+    @pytest.mark.parametrize("r, depth", [(4.0, 14), (3.7, 13)])
+    def test_grid_iterates(self, r, depth):
+        F = iterate_pushforward(U, r, depth)
+        assert F.strategy == "grid"
+        emp = ensemble_push(DistSpec("uniform"), r, depth, 20_000, 5)
+        assert ks_statistic(emp, F) == ks_full(emp, F)
+        T = tabulate(A, 256)
+        assert ks_statistic(emp, T) == ks_full(emp, T)
+
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5])
+    def test_exact_iterates_of_the_uniform(self, r):
+        F = iterate_pushforward(U, r, 8, strategy="exact")
+        emp = ensemble_push(DistSpec("uniform"), r, 8, 20_000, 6)
+        assert ks_statistic(emp, F) == ks_full(emp, F)
+
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5])
+    def test_exact_iterates_of_a_beta(self, r):
+        # beta values depend slightly on their batch (the continued fraction
+        # runs until the whole batch has converged), hence the tolerance
+        F = iterate_pushforward(BETA.cdf(), r, 8, strategy="exact")
+        emp = ensemble_push(BETA, r, 8, 20_000, 7)
+        assert abs(ks_statistic(emp, F) - ks_full(emp, F)) <= 1e-13
+
+    @given(
+        st.integers(min_value=1, max_value=5000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([None, 0, 1, 2, 4]),
+        st.booleans(),
+        st.sampled_from(["uniform", "arcsine", "kum23", "empirical"]),
+    )
+    def test_ties_and_endpoints(self, n, seed, decimals, endpoints, ref):
+        rng = np.random.default_rng(seed)
+        x = rng.random(n) ** rng.uniform(0.2, 5.0)
+        if decimals is not None:
+            x = np.round(x, decimals)  # few distinct values: long runs of ties
+        if endpoints:
+            x[rng.integers(0, n, size=max(1, n // 10))] = rng.choice([0.0, 1.0])
+            x[0], x[-1] = 0.0, 1.0
+        F = {"uniform": U, "arcsine": A, "kum23": K23, "empirical": EMPIRICAL_REF}[ref]
+        emp = DistSpec("empirical", samples=x)
+        assert ks_statistic(emp, F) == ks_full(emp, F)
+
+    def test_supremum_on_a_gap_bound(self):
+        # sixteen tied samples make the first gap's d+ bound, 16/33 - 0.01,
+        # the statistic itself; the probed terms miss it by only 1e-6
+        x = np.concatenate([np.full(16, 0.01), [0.01 + 1 / 33 + 1e-6], np.arange(17, 33) / 33])
+        emp = DistSpec("empirical", samples=x)
+        assert ks_full(emp, U) == 16 / 33 - 0.01
+        assert ks_statistic(emp, U) == 16 / 33 - 0.01
+
+    def test_two_calls_on_a_small_share_of_the_samples(self):
+        n = 20_000
+        emp = ensemble_push(BETA, 3.7, 8, n, 2011)
+        F = CountingCdf(iterate_pushforward(BETA.cdf(), 3.7, 8))
+        ks = ks_statistic(emp, F)
+        assert len(F.calls) <= 2
+        assert sum(F.calls) <= 0.12 * n
+        assert abs(ks - ks_full(emp, F.F)) <= 1e-13
+
+    def test_a_dipping_reference_gets_every_sample(self):
+        # drops by 0.01 at 1/2: the probed values decrease there by far more
+        # than the slack, so no gap can be bounded and every sample is seen
+        def dipping(y):
+            y = np.asarray(y, dtype=float)
+            return y - 0.01 * (y > 0.5)
+
+        n = 20_000
+        emp = DistSpec("empirical", samples=sample(DistSpec("uniform"), n, 3))
+        F = CountingCdf(dipping)
+        assert ks_statistic(emp, F) == ks_full(emp, dipping)
+        assert len(F.calls) == 2
+        assert sum(F.calls) == n
 
 
 class TestFixedPointResidual:

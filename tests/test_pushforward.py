@@ -22,13 +22,18 @@ from cdfpush import (
     cdf_kumaraswamy,
     convergence_table,
     ensemble_push,
+    ergodic_empirical,
     iterate_pushforward,
     iterates,
+    ks_band,
     preimage_pair,
     pushforward_cdf,
+    run_verification,
+    sample,
     standard_grid,
     sup_distance,
     tabulate,
+    trajectory,
     validate_map_param,
 )
 
@@ -567,9 +572,18 @@ Y = standard_grid(8)
         lambda: standard_grid(4.7),
         lambda: tabulate(U, 16.0),
         lambda: ensemble_push(DistSpec("uniform"), 4.0, 1.5, 1000, 0),
+        lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 1000.7, 0),
+        lambda: trajectory(4.0, 0.3, 10.5),
+        lambda: trajectory(4.0, 0.3, 10, burn_in=2.9),
+        lambda: ergodic_empirical(4.0, 10_000.5, 100),
+        lambda: ks_band(100.9),
+        lambda: sample(DistSpec("uniform"), 10.5, 0),
+        lambda: run_verification(n_samples=1000.5),
     ],
     ids=["iterate-depth", "iterate-depth-str", "iterates-depth", "scan-depth", "grid-size",
-         "tabulate-size", "ensemble-steps"],
+         "tabulate-size", "ensemble-steps", "ensemble-samples", "trajectory-steps",
+         "trajectory-burn-in", "ergodic-steps", "ks-band-samples", "sample-size",
+         "verify-samples"],
 )
 def test_non_integral_count_raises(call):
     # each was truncated to an int before, silently changing the work done
@@ -582,3 +596,17 @@ def test_numpy_integer_counts_are_accepted():
     assert np.array_equal(iterate_pushforward(U, 4.0, np.int64(3))(Y), iterate_pushforward(U, 4.0, 3)(Y))
     assert np.array_equal(iterates(U, 4.0, np.uint8(2), Y), iterates(U, 4.0, 2, Y))
     assert np.array_equal(convergence_table(np.int64(2), 16)["n"], [0, 1, 2])
+
+
+def test_numpy_integer_sample_counts_are_accepted():
+    spec = DistSpec("uniform")
+    assert np.array_equal(ensemble_push(spec, 4.0, 1, np.int64(1000), 0).samples,
+                          ensemble_push(spec, 4.0, 1, 1000, 0).samples)
+    assert np.array_equal(trajectory(4.0, 0.3, np.int32(10), burn_in=np.uint8(2)).states,
+                          trajectory(4.0, 0.3, 10, burn_in=2).states)
+    run = ergodic_empirical(4.0, np.int64(10_000), np.int16(100), seed=5)
+    assert run.burn_in == 100 and type(run.burn_in) is int
+    assert np.array_equal(run.empirical.samples, ergodic_empirical(4.0, 10_000, 100, seed=5).empirical.samples)
+    assert ks_band(np.int64(100)) == ks_band(100)
+    assert np.array_equal(sample(spec, np.int32(10), 0), sample(spec, 10, 0))
+    assert run_verification(n_samples=np.int64(200), grid=64) == run_verification(n_samples=200, grid=64)
