@@ -34,11 +34,16 @@ __all__ = [
     "validate_map_param",
 ]
 
-# beyond this depth one exact evaluation costs 2**n base evaluations per
-# point, reached through 2**n - 1 preimage pairs of the depth-first `_pull`;
+# beyond this depth one exact evaluation costs up to 2**n base evaluations
+# per point (all of them at r = 4; `_pull` prunes at the peak r/4 below it);
 # `iterates` evaluates depths 0..limit in one traversal, which costs about
 # twice the deepest one, and the deeper ones from one pass of the grid chain
 EXACT_ITERATION_LIMIT = 12
+# `_pull` sends both preimage branches of a node down as one array while
+# they hold at most this many points: the up to 13 rows of a batch then take
+# 13 * 2**14 * 8 B = 1.7 MB, inside a 2 MiB L2 cache, and a larger batch
+# would only add memory traffic to the few base calls that remain
+_LEVEL_BATCH = 2**14
 DEFAULT_GRID_SIZE = 4096
 # rounding slack allowed before a tabulated dip counts as a real failure
 MONOTONICITY_TOLERANCE = 1e-9
@@ -68,15 +73,18 @@ def standard_grid(m: int) -> np.ndarray:
     return grid
 
 
-def _preimages(t: np.ndarray, rr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both preimages (lower, upper) of validated points t <= r/4, in the
-    cancellation-free form documented at `preimage_pair`."""
-    lo = t / rr
-    hi = 0.25 - lo
+def _preimages(t: np.ndarray, rr: float) -> np.ndarray:
+    """Both preimages of validated points t <= r/4, in the
+    cancellation-free form documented at `preimage_pair`, as the rows
+    (lower, upper) of one (2,) + t.shape array."""
+    pair = np.empty((2,) + t.shape)
+    lo, hi = pair
+    np.divide(t, rr, out=lo)
+    np.subtract(0.25, lo, out=hi)
     np.sqrt(hi, out=hi)
     hi += 0.5
     lo /= hi
-    return lo, hi
+    return pair
 
 
 def preimage_pair(r, y):
@@ -98,16 +106,23 @@ def preimage_pair(r, y):
 
 def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     """Values at arr of the pushforwards of F of depths n-rows+1..n, one
-    row each, from one depth-first traversal; rows <= n + 1.
+    row each, from one traversal of the preimage tree; rows <= n + 1.
 
     arr must already be validated: preimages of points in [0, 1] stay
-    in [0, 1], so no level checks its domain again.  Each level splits
-    the points below the peak r/4 into one preimage pair and recurses
-    on each branch; points at or above the peak are exactly 1 at every
-    depth >= 1.  The base is called at a node only when depth 0 is one
-    of its rows, so it receives exactly the arrays that the separate
+    in [0, 1], so no level checks its domain again.  Each node splits
+    its points below the peak r/4 into one preimage pair; points at or
+    above the peak are exactly 1 at every depth >= 1.  While the pair
+    holds at most `_LEVEL_BATCH` points, both branches go down as one
+    array, lower branch first, so a whole level of a small tree costs
+    one base call; a larger pair recurses on each branch.  The base is
+    called at a node only when depth 0 is one of its rows, so with
+    rows > 1 it receives exactly the arrays that the separate
     evaluation of each depth hands it, and each row is bit for bit that
-    evaluation.  No array that F returned is ever written into.
+    evaluation.  Every point meets the same preimage, base and
+    combination arithmetic whatever it is batched with, so only a base
+    whose values depend on the batch (the beta continued fraction) can
+    tell the batches apart.  No array that F returned is ever written
+    into.
     """
     if n == 0:
         return np.asarray(F(arr), dtype=float)[np.newaxis]
@@ -122,14 +137,21 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
             out[0] = F(arr)
         if not inside:
             return out
-    lo, hi = _preimages(arr if whole else arr[below], rr)
-    if whole and out is not None:
-        v = np.add(_pull(F, rr, n - 1, lo, deeper), 1.0, out=out[1:])
+    pair = _preimages(arr if whole else arr[below], rr)
+    into = out[1:] if whole and out is not None else None
+    if 2 * inside <= _LEVEL_BATCH:
+        both = _pull(F, rr, n - 1, pair.reshape(-1), deeper).reshape((deeper,) + pair.shape)
+        v = np.add(both[:, 0], 1.0, out=into)
+        v -= both[:, 1]
     else:
-        # NumPy adds in place only into a temporary that nothing else
-        # holds, so never into an array that F returned
-        v = _pull(F, rr, n - 1, lo, deeper) + 1.0
-    v -= _pull(F, rr, n - 1, hi, deeper)
+        lo, hi = pair
+        if into is not None:
+            v = np.add(_pull(F, rr, n - 1, lo, deeper), 1.0, out=into)
+        else:
+            # NumPy adds in place only into a temporary that nothing else
+            # holds, so never into an array that F returned
+            v = _pull(F, rr, n - 1, lo, deeper) + 1.0
+        v -= _pull(F, rr, n - 1, hi, deeper)
     if out is None:  # the rows = 1 path at a node below the peak: no copy
         return v
     if not whole:
@@ -213,8 +235,9 @@ class IterateCdf(Cdf):
     """The n-fold pushforward of a base CDF, realized as a `Cdf`.
 
     `strategy` records how evaluation happens: "exact" runs the
-    depth-first pushforward recursion (up to 2**n base evaluations per
-    point; at n = 0 the base itself) while "grid" interpolates the values
+    pushforward recursion over the preimage tree (up to 2**n base
+    evaluations per point, batched by levels; at n = 0 the base itself)
+    while "grid" interpolates the values
     that the grid chain holds at the knots of the standard grid after n
     steps.  `iterates` evaluates every depth the same two ways at once.
     """
@@ -278,8 +301,8 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     integer; a float or a string raises ParameterError.
 
     The exact iterate validates its points once and hands them to the
-    depth-first kernel `_pull` for one row; its values are bit for bit
-    those of the n-fold composition of `pushforward_cdf`.  The grid
+    kernel `_pull` for one row; its values are bit for bit those of the
+    n-fold composition of `pushforward_cdf`.  The grid
     strategy tabulates the base once, when the iterate is built, and
     takes the values after n steps of the grid chain.  To evaluate all
     of D_0..D_n at the same points, `iterates` shares that work.
@@ -335,7 +358,8 @@ def iterates(F0, r, n: int, y) -> np.ndarray:
 
     Row k equals `iterate_pushforward(F0, r, k)(y)` bit for bit, but the
     work is shared: the depths that "auto" evaluates exactly come from
-    one traversal of `_pull`, which calls the base once per node, and the
+    one traversal of `_pull`, which calls the base once per node of the
+    preimage tree (once per level while the levels are small), and the
     deeper ones from one pass of the grid chain, which tabulates the
     base once.  n must be an integer, as for `iterate_pushforward`.
     """

@@ -241,14 +241,16 @@ class TestIterateContract:
 
         return dataclasses.replace(base, fn=counting_fn), calls
 
-    def test_exact_path_calls_base_fn_once_per_leaf(self):
+    def test_exact_path_calls_base_fn_once_per_level(self):
+        # the 8 leaves of depth 3 hold far fewer than 2**14 points, so they
+        # reach the base as one batch
         base = DistSpec("uniform").cdf()
         counted, calls = self._counted(base)
         y = standard_grid(64)
         it = iterate_pushforward(counted, 4.0, 3)
         assert calls == []
         values = it(y)
-        assert len(calls) == 8
+        assert len(calls) == 1
         assert np.array_equal(values, iterate_pushforward(base, 4.0, 3)(y))
 
     def test_grid_path_calls_base_fn_once_to_tabulate(self):
@@ -261,7 +263,7 @@ class TestIterateContract:
         assert len(calls) == 1
 
     def test_iterates_hands_the_base_the_arrays_of_each_depth(self):
-        # one traversal calls the base once per node, on exactly the
+        # one traversal calls the base once per level, on exactly the
         # arrays that the separate evaluations of depths 0..3 hand it
         counted, calls = self._counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
         y = _kernel_grid(4.0)
@@ -270,7 +272,7 @@ class TestIterateContract:
         calls.clear()
         for n in range(4):
             iterate_pushforward(counted, 4.0, n)(y)
-        assert len(together) == 15
+        assert len(together) == 4
         assert together == sorted(calls)
 
     def test_iterates_grid_tail_tabulates_the_base_once(self):
@@ -493,13 +495,15 @@ class TestExactKernel:
     @pytest.mark.parametrize("spec", EXACT_STARTS, ids=lambda s: s.label)
     @pytest.mark.parametrize("r", [4.0, 3.5])
     def test_one_step_is_the_operator_formula(self, spec, r):
-        # G(y) = F(lo) + 1 - F(hi) below the peak, exactly 1 from it on
+        # G(y) = F(lo) + 1 - F(hi) below the peak, exactly 1 from it on,
+        # with F called once on the lower preimages followed by the upper
         F = spec.cdf()
         y = _kernel_grid(r)
         below = y < r / 4.0
         lo, hi = preimage_pair(r, y[below])
+        both = F(np.concatenate([lo, hi]))
         expected = np.ones_like(y)
-        expected[below] = F(lo) + 1.0 - F(hi)
+        expected[below] = both[: lo.size] + 1.0 - both[lo.size :]
         assert np.array_equal(pushforward_cdf(F, r)(y), expected)
 
     def test_empty_input(self):
@@ -556,6 +560,106 @@ class TestExactKernel:
             closed = 2.0 * np.sin(np.pi * u / 2 ** (n + 1)) ** 2 + np.sin(np.pi * u / 2**n) / np.tan(np.pi / 2**n)
             exact = iterate_pushforward(base, 4.0, n, strategy="exact")
             assert np.max(np.abs(exact(y) - closed)) <= 1e-9, n
+
+
+def _depth_first_preimages(t, rr):
+    lo = t / rr
+    hi = 0.25 - lo
+    np.sqrt(hi, out=hi)
+    hi += 0.5
+    lo /= hi
+    return lo, hi
+
+
+def _depth_first_pull(F, rr, n, arr, rows=1):
+    """The exact kernel written as a plain depth-first recursion: every
+    node pulls its lower and its upper preimages back separately, so the
+    base is called once per node that holds depth 0."""
+    if n == 0:
+        return np.asarray(F(arr), dtype=float)[np.newaxis]
+    out = np.ones((rows,) + arr.shape)
+    deeper = min(rows, n)
+    if deeper < rows:
+        out[0] = F(arr)
+    below = arr < rr / 4.0
+    if below.any():
+        lo, hi = _depth_first_preimages(arr[below], rr)
+        v = _depth_first_pull(F, rr, n - 1, lo, deeper) + 1.0
+        v -= _depth_first_pull(F, rr, n - 1, hi, deeper)
+        out[rows - deeper:, below] = v
+    return out
+
+
+def _counting(spec):
+    sizes = []
+    base = spec.cdf()
+
+    def fn(arr):
+        sizes.append(arr.size)
+        return base.fn(arr)
+
+    return Cdf(fn, base.provenance), sizes
+
+
+LEVEL_STARTS = ["uniform", "arcsine", "kumaraswamy:2,3"]
+
+
+class TestLevelBatches:
+    """The exact kernel sends both preimage branches of a node down as
+    one array while they hold at most 2**14 points.  It must agree with
+    the depth-first recursion, exactly where the base is elementwise."""
+
+    @pytest.mark.parametrize("init", LEVEL_STARTS)
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
+    def test_matches_depth_first_recursion(self, init, r):
+        # 4097 points: the pairs outgrow 2**14 points a few levels down
+        base = DistSpec.parse(init).cdf()
+        y = standard_grid(4096)
+        assert np.array_equal(iterate_pushforward(base, r, 8, strategy="exact")(y),
+                              _depth_first_pull(base.fn, r, 8, y)[0])
+        assert np.array_equal(iterates(base, r, 8, y), _depth_first_pull(base.fn, r, 8, y, rows=9))
+
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
+    def test_beta_is_within_its_batch_dependence(self, r):
+        # the beta continued fraction runs until its whole batch has
+        # converged, so its values depend on the batch in the last bits
+        base = DistSpec("beta", 2.5, 3.5).cdf()
+        y = standard_grid(4096)
+        exact = iterate_pushforward(base, r, 8, strategy="exact")(y)
+        assert np.max(np.abs(exact - _depth_first_pull(base.fn, r, 8, y)[0])) <= 1e-13
+        rows = iterates(base, r, 8, y)
+        assert np.max(np.abs(rows - _depth_first_pull(base.fn, r, 8, y, rows=9))) <= 1e-13
+
+    @pytest.mark.parametrize("size", [4097, 20_000])
+    @pytest.mark.parametrize("r", [4.0, 3.7])
+    def test_batches_stay_under_the_cap(self, size, r):
+        y = np.sort(np.random.default_rng(size).random(size))
+        y[0], y[-1] = 0.0, 1.0
+        cap = max(size, 2**14)
+        counted, sizes = _counting(DistSpec("uniform"))
+        reference, leaves = _counting(DistSpec("uniform"))
+        for rows, run in ((1, lambda: iterate_pushforward(counted, r, 8)(y)),
+                          (9, lambda: iterates(counted, r, 8, y))):
+            sizes.clear()
+            leaves.clear()
+            run()
+            _depth_first_pull(reference.fn, r, 8, y, rows)
+            assert max(sizes) <= cap
+            # the same points reach the base, in no more calls
+            assert sum(sizes) == sum(leaves)
+            assert len(sizes) <= len(leaves)
+
+    def test_beta_call_count(self):
+        # D_0..D_12 at r = 3.7 on 4097 knots, as `iterate --steps 12` builds
+        # them: the depth-first recursion calls the base 1311 times, on
+        # 1284 points on average
+        counted, sizes = _counting(DistSpec("beta", 2.5, 3.5))
+        reference, leaves = _counting(DistSpec("beta", 2.5, 3.5))
+        y = standard_grid(4096)
+        iterates(counted, 3.7, 12, y)
+        _depth_first_pull(reference.fn, 3.7, 12, y, rows=13)
+        assert (len(sizes), len(leaves)) == (148, 1311)
+        assert sum(sizes) == sum(leaves) == 1_683_283
 
 
 U = DistSpec("uniform").cdf()
