@@ -7,6 +7,7 @@ which shares code with the library's continued fraction.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +94,24 @@ class TestKumaraswamy:
         assert cdf_kumaraswamy(a, b, 0.0) == 0.0
         assert cdf_kumaraswamy(a, b, 1.0) == 1.0
 
+    @pytest.mark.parametrize("a, b", [(0.25, 0.25), (0.5, 0.5), (2.0, 3.0), (1.0, 0.25), (5.0, 0.3), (0.05, 5.0)])
+    def test_accurate_near_one_and_at_the_endpoints(self, a, b):
+        # against mpmath at 50 digits; forming y**a first was up to 7e-5
+        # off next to y = 1 and flat over runs of floats there
+        y = np.concatenate([
+            [0.0, 5e-324, 1e-300, 1.0],
+            np.linspace(0.0, 1.0, 41),
+            1.0 - np.logspace(-16, -1, 61),
+            1.0 - np.arange(1, 9) * 2.0**-53,
+        ])
+        got = cdf_kumaraswamy(a, b, y)
+        with mpmath.workdps(50):
+            expected = np.array([float(1 - (1 - mpmath.mpf(v) ** a) ** b) for v in y])
+        assert np.max(np.abs(got - expected)) <= 4e-16
+        last = got[-8:][::-1]  # the 8 floats below 1, increasing
+        assert np.all(np.diff(last[last < 1.0]) > 0.0)
+        assert not np.signbit(cdf_kumaraswamy(a, b, 0.0))
+
     def test_parameter_validation(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
@@ -115,15 +134,12 @@ class TestKumaraswamy:
     )
     def test_quantile_round_trip(self, p, a, b):
         # Near y = 1 with small b (p = 0.999, b = 0.25) the CDF is so steep
-        # that one float step of y moves it by more than 1e-9, and the
-        # float CDF rounds y**a to the floats near 1, so it is constant over
-        # runs of up to 1/a consecutive floats of y.  No float64 y meets the
-        # bound pointwise there: p must lie within 1e-9 of the CDF over the
-        # floats next to such a run on either side of y.
+        # that one float step of y moves it by more than 1e-9, so no float64
+        # y meets the bound pointwise there: p must lie within 1e-9 of the
+        # CDF at the floats on either side of y.
         y = DistSpec("kumaraswamy", a, b).quantile(p)
-        steps = math.ceil(1.0 / a) + 1
-        below = cdf_kumaraswamy(a, b, max(y - steps * np.spacing(y), 0.0))
-        above = cdf_kumaraswamy(a, b, min(y + steps * np.spacing(y), 1.0))
+        below = cdf_kumaraswamy(a, b, max(y - np.spacing(y), 0.0))
+        above = cdf_kumaraswamy(a, b, min(y + np.spacing(y), 1.0))
         assert below - 1e-9 <= p <= above + 1e-9
 
 
