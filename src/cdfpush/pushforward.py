@@ -41,8 +41,8 @@ __all__ = [
 EXACT_ITERATION_LIMIT = 12
 # `_pull` sends both preimage branches of a node down as one array while
 # they hold at most this many points: the up to 13 rows of a batch then take
-# 13 * 2**14 * 8 B = 1.7 MB, inside a 2 MiB L2 cache, and a larger batch
-# would only add memory traffic to the few base calls that remain
+# 13 * 2**14 * 8 B = 1.7 MB, inside a 2 MiB L2 cache; a larger batch would
+# save few base calls and leave the cache
 _LEVEL_BATCH = 2**14
 DEFAULT_GRID_SIZE = 4096
 # rounding slack allowed before a tabulated dip counts as a real failure
@@ -237,9 +237,8 @@ class IterateCdf(Cdf):
     `strategy` records how evaluation happens: "exact" runs the
     pushforward recursion over the preimage tree (up to 2**n base
     evaluations per point, batched by levels; at n = 0 the base itself)
-    while "grid" interpolates the values
-    that the grid chain holds at the knots of the standard grid after n
-    steps.  `iterates` evaluates every depth the same two ways at once.
+    while "grid" interpolates the values that the grid chain holds at
+    the knots of the standard grid after n steps.  `iterates` evaluates every depth the same two ways at once.
     """
 
     strategy: str
@@ -302,9 +301,9 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
 
     The exact iterate validates its points once and hands them to the
     kernel `_pull` for one row; its values are bit for bit those of the
-    n-fold composition of `pushforward_cdf`.  The grid
-    strategy tabulates the base once, when the iterate is built, and
-    takes the values after n steps of the grid chain.  To evaluate all
+    n-fold composition of `pushforward_cdf`.  The grid strategy
+    tabulates the base once, when the iterate is built, and takes the
+    values after n steps of the grid chain.  To evaluate all
     of D_0..D_n at the same points, `iterates` shares that work.
     """
     rr = validate_map_param(r)
