@@ -220,6 +220,17 @@ class TestIterate:
         assert it(0.75) == 1.0 and it(0.5) == 1.0
 
 
+def _counted(base, keep=np.size):
+    """`base` rebuilt around an `fn` that records keep(arr) of each call."""
+    calls = []
+
+    def counting_fn(arr):
+        calls.append(keep(arr))
+        return base.fn(arr)
+
+    return dataclasses.replace(base, fn=counting_fn), calls
+
+
 class TestIterateContract:
     """Every iterate is a `Cdf` with a strategy, and it reaches its base
     only through the base's `fn`, so a base rebuilt around a counting
@@ -231,21 +242,11 @@ class TestIterateContract:
         assert isinstance(it, Cdf)
         assert it.strategy == strategy
 
-    @staticmethod
-    def _counted(base, keep=np.size):
-        calls = []
-
-        def counting_fn(arr):
-            calls.append(keep(arr))
-            return base.fn(arr)
-
-        return dataclasses.replace(base, fn=counting_fn), calls
-
     def test_exact_path_calls_base_fn_once_per_level(self):
         # the 8 leaves of depth 3 hold far fewer than 2**14 points, so they
         # reach the base as one batch
         base = DistSpec("uniform").cdf()
-        counted, calls = self._counted(base)
+        counted, calls = _counted(base)
         y = standard_grid(64)
         it = iterate_pushforward(counted, 4.0, 3)
         assert calls == []
@@ -255,7 +256,7 @@ class TestIterateContract:
 
     def test_grid_path_calls_base_fn_once_to_tabulate(self):
         base = DistSpec("uniform").cdf()
-        counted, calls = self._counted(base)
+        counted, calls = _counted(base)
         it = iterate_pushforward(counted, 4.0, 13)
         assert calls == [standard_grid(4096).size]
         y = standard_grid(64)
@@ -265,7 +266,7 @@ class TestIterateContract:
     def test_iterates_hands_the_base_the_arrays_of_each_depth(self):
         # one traversal calls the base once per level, on exactly the
         # arrays that the separate evaluations of depths 0..3 hand it
-        counted, calls = self._counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
+        counted, calls = _counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
         y = _kernel_grid(4.0)
         iterates(counted, 4.0, 3, y)
         together = sorted(calls)
@@ -276,7 +277,7 @@ class TestIterateContract:
         assert together == sorted(calls)
 
     def test_iterates_grid_tail_tabulates_the_base_once(self):
-        counted, calls = self._counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
+        counted, calls = _counted(DistSpec("uniform").cdf(), keep=np.ndarray.tobytes)
         y = _kernel_grid(4.0)
         iterates(counted, 4.0, 12, y)
         exact = calls.copy()
@@ -590,17 +591,6 @@ def _depth_first_pull(F, rr, n, arr, rows=1):
     return out
 
 
-def _counting(spec):
-    sizes = []
-    base = spec.cdf()
-
-    def fn(arr):
-        sizes.append(arr.size)
-        return base.fn(arr)
-
-    return Cdf(fn, base.provenance), sizes
-
-
 LEVEL_STARTS = ["uniform", "arcsine", "kumaraswamy:2,3"]
 
 
@@ -612,7 +602,8 @@ class TestLevelBatches:
     @pytest.mark.parametrize("init", LEVEL_STARTS)
     @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
     def test_matches_depth_first_recursion(self, init, r):
-        # 4097 points: the pairs outgrow 2**14 points a few levels down
+        # on 4097 points the pairs outgrow 2**14 points a few levels down,
+        # except at r = 2, where every upper preimage lies above the peak
         base = DistSpec.parse(init).cdf()
         y = standard_grid(4096)
         assert np.array_equal(iterate_pushforward(base, r, 8, strategy="exact")(y),
@@ -636,8 +627,8 @@ class TestLevelBatches:
         y = np.sort(np.random.default_rng(size).random(size))
         y[0], y[-1] = 0.0, 1.0
         cap = max(size, 2**14)
-        counted, sizes = _counting(DistSpec("uniform"))
-        reference, leaves = _counting(DistSpec("uniform"))
+        counted, sizes = _counted(DistSpec("uniform").cdf())
+        reference, leaves = _counted(DistSpec("uniform").cdf())
         for rows, run in ((1, lambda: iterate_pushforward(counted, r, 8)(y)),
                           (9, lambda: iterates(counted, r, 8, y))):
             sizes.clear()
@@ -653,8 +644,8 @@ class TestLevelBatches:
         # D_0..D_12 at r = 3.7 on 4097 knots, as `iterate --steps 12` builds
         # them: the depth-first recursion calls the base 1311 times, on
         # 1284 points on average
-        counted, sizes = _counting(DistSpec("beta", 2.5, 3.5))
-        reference, leaves = _counting(DistSpec("beta", 2.5, 3.5))
+        counted, sizes = _counted(DistSpec("beta", 2.5, 3.5).cdf())
+        reference, leaves = _counted(DistSpec("beta", 2.5, 3.5).cdf())
         y = standard_grid(4096)
         iterates(counted, 3.7, 12, y)
         _depth_first_pull(reference.fn, 3.7, 12, y, rows=13)
