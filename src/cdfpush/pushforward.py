@@ -42,7 +42,9 @@ EXACT_ITERATION_LIMIT = 12
 # `_pull` sends both preimage branches of a node down as one array while
 # they hold at most this many points: the up to 13 rows of a batch then take
 # 13 * 2**14 * 8 B = 1.7 MB, inside a 2 MiB L2 cache; a larger batch would
-# save few base calls and leave the cache
+# save few base calls and leave the cache.  A row of 2**14 points is 128 KiB,
+# glibc's initial mmap threshold: until the process frees a larger array,
+# glibc hands such memory back after each subtree and faults it in again
 _LEVEL_BATCH = 2**14
 DEFAULT_GRID_SIZE = 4096
 # rounding slack allowed before a tabulated dip counts as a real failure
@@ -145,12 +147,7 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
         v -= both[:, 1]
     else:
         lo, hi = pair
-        if into is not None:
-            v = np.add(_pull(F, rr, n - 1, lo, deeper), 1.0, out=into)
-        else:
-            # NumPy adds in place only into a temporary that nothing else
-            # holds, so never into an array that F returned
-            v = _pull(F, rr, n - 1, lo, deeper) + 1.0
+        v = np.add(_pull(F, rr, n - 1, lo, deeper), 1.0, out=into)
         v -= _pull(F, rr, n - 1, hi, deeper)
     if out is None:  # the rows = 1 path at a node below the peak: no copy
         return v
@@ -238,7 +235,8 @@ class IterateCdf(Cdf):
     pushforward recursion over the preimage tree (up to 2**n base
     evaluations per point, batched by levels; at n = 0 the base itself)
     while "grid" interpolates the values that the grid chain holds at
-    the knots of the standard grid after n steps.  `iterates` evaluates every depth the same two ways at once.
+    the knots of the standard grid after n steps.  `iterates` evaluates
+    every depth the same two ways at once.
     """
 
     strategy: str
