@@ -2,13 +2,16 @@
 
 `DistSpec` describes the uniform, arcsine, beta, Kumaraswamy and
 empirical families and realizes each as a `Cdf`, with quantiles and
-seeded sampling.  `cdf_beta` and `cdf_kumaraswamy` evaluate the two
-parametric closed forms directly.  All evaluators are vectorized over
-numpy arrays and accept plain floats.
+seeded sampling.  `cdf_kumaraswamy` evaluates the Kumaraswamy closed
+form directly; `cdf_beta` evaluates the incomplete beta function, which
+has none, from Chebyshev series of its hypergeometric factor fitted once
+per (alpha, beta) and cached.  All evaluators are vectorized over numpy
+arrays and accept plain floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,16 +29,27 @@ __all__ = [
     "sample",
 ]
 
+# fallback continued fraction (see `_HypergeometricFactor`)
 _BETA_CF_TOL = 1e-12
 _BETA_CF_MAX_ITER = 300
-# beta quantile: a point is done once its Newton step or its bracket is this
-# small.  Deep tails alternate Newton and bisection steps: beta(50, 1e5) at
-# p = 5e-324 takes 82 passes, bisection alone 41.
-_NEWTON_STEP_TOL = 1e-15
-_BRACKET_TOL = 1e-12
-_QUANTILE_MAX_PASSES = 100
 # floor keeping Lentz denominators away from zero without disturbing the value
 _CF_TINY = 1e-300
+# A side of the beta CDF is fitted by a Chebyshev series at
+# 2 * _CHEB_MAX_DEGREE + 1 points.  It takes the continued fraction
+# instead when its power series needs more than _SERIES_MAX_TERMS terms
+# there, or when its coefficients past the cap are not down at rounding
+# level (_CHEB_PLATEAU of the largest): a split next to 1, as for the
+# (1e5, 50) side, or a + b in the millions.  Fits that pass end below
+# degree 130 up to a = b = 1e4.
+_CHEB_MAX_DEGREE = 256
+_CHEB_PLATEAU = 2.0**-46
+_SERIES_MAX_TERMS = 2**13
+# beta quantile: a point is done once its Newton step or its bracket is
+# this small relative to x (to the smallest normal float below it)
+_QUANTILE_RTOL = 1e-13
+_QUANTILE_MAX_PASSES = 100
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 _PARAMETRIC_FAMILIES = ("beta", "kumaraswamy")
 _CLOSED_FORM_FAMILIES = ("uniform", "arcsine") + _PARAMETRIC_FAMILIES
@@ -173,48 +187,154 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray, tol: float, max_
     )
 
 
-def _regularized_incomplete_beta(a: float, b: float, y: np.ndarray, tol: float, max_iter: int):
-    """I_y(a, b), and the factor y**a (1-y)**b / B(a, b) in front of its
-    continued fraction (0 at the endpoints), as two arrays like y.
+def _hypergeometric_series(p: float, q: float, x: np.ndarray):
+    """2F1(p+q, 1; p+1; x) = sum_k (p+q)_k / (p+1)_k x^k at points x in
+    [0, 1), or None if some point needs more than `_SERIES_MAX_TERMS`
+    terms.  Every term is positive, so the sum does not cancel."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    stop = (0.5 * _EPS) * (1.0 - x)  # the tail after a term is below term/(1-x)
+    for k in range(_SERIES_MAX_TERMS):
+        term *= (p + q + k) / (p + 1.0 + k) * x
+        total += term
+        if np.all(term <= stop * total):
+            return total
+    return None
 
-    The factor divided by y(1-y) is the beta density, which Newton's step
-    in `_beta_quantile` takes from here at no extra exp or log.
+
+def _chebyshev_fit(p: float, q: float, split: float):
+    """Chebyshev coefficients of h(u) = 2F1(p+q, 1; p+1; u) on [0, split],
+    chopped where they reach the rounding plateau, or None when the fit
+    does not get there by degree `_CHEB_MAX_DEGREE`.
+
+    h is analytic on [0, split] with its one singularity at u = 1, so the
+    coefficients fall geometrically (Trefethen, Approximation Theory and
+    Approximation Practice, 2013).  They come from h at the
+    2 * `_CHEB_MAX_DEGREE` + 1 Chebyshev points by the discrete cosine
+    transform; the coefficients past the cap measure the plateau, and the
+    series keeps every coefficient above twice it.
     """
-    interior = (y > 0.0) & (y < 1.0)
-    whole = bool(interior.all())
-    x = y if whole else y[interior]
-    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    front = np.exp(a * np.log(x) + b * np.log1p(-x) - ln_beta)
-    res = np.empty_like(x)
-    direct = x < (a + 1.0) / (a + b + 2.0)
-    if direct.any():
-        cf = _beta_continued_fraction(a, b, x[direct], tol, max_iter)
-        res[direct] = front[direct] * cf / a
-    flipped = ~direct
-    if flipped.any():
-        cf = _beta_continued_fraction(b, a, 1.0 - x[flipped], tol, max_iter)
-        res[flipped] = 1.0 - front[flipped] * cf / b
-    if whole:
-        return res, front
-    out = np.where(y == 1.0, 1.0, 0.0)
-    out[interior] = res
-    full_front = np.zeros_like(y)
-    full_front[interior] = front
-    return out, full_front
+    n = 2 * _CHEB_MAX_DEGREE
+    u = (0.5 * split) * (1.0 + np.cos(np.pi / n * np.arange(n + 1)))
+    values = _hypergeometric_series(p, q, u)
+    if values is None:
+        return None
+    coef = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    coef[0] *= 0.5
+    coef[n] *= 0.5
+    size = np.abs(coef)
+    plateau = size[_CHEB_MAX_DEGREE + 1:].max()
+    if plateau > _CHEB_PLATEAU * size.max():
+        return None
+    return coef[: max(3, np.flatnonzero(size > 2.0 * plateau)[-1] + 1)]
+
+
+def _clenshaw(coef: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(t) at t = t2 / 2 for at least three coefficients,
+    by Clenshaw's recurrence on three buffers: the same operations for
+    every point, whatever its batch."""
+    b2 = np.full_like(t2, coef[-1])
+    b1 = np.multiply(t2, coef[-1])
+    b1 += coef[-2]
+    out = np.empty_like(t2)
+    for c in coef[-3:0:-1]:
+        np.multiply(t2, b1, out=out)
+        out -= b2
+        out += c
+        b1, b2, out = out, b1, b2
+    np.multiply(t2, b1, out=out)
+    out *= 0.5
+    out -= b2
+    out += coef[0]
+    return out
+
+
+class _HypergeometricFactor:
+    """h(u) = 2F1(p+q, 1; p+1; u) for u in [0, (p+1)/(p+q+2)]: a Chebyshev
+    series evaluated by Clenshaw, or, where `_chebyshev_fit` finds none
+    (`coef` is None), the continued fraction for the same function."""
+
+    def __init__(self, p: float, q: float):
+        self.p, self.q = p, q
+        split = (p + 1.0) / (p + q + 2.0)
+        self.scale = 4.0 / split  # u -> 2t for t in [-1, 1]
+        self.coef = _chebyshev_fit(p, q, split)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if self.coef is None:
+            return _beta_continued_fraction(self.p, self.q, u, _BETA_CF_TOL, _BETA_CF_MAX_ITER)
+        t2 = u * self.scale
+        t2 -= 2.0
+        return _clenshaw(self.coef, t2)
+
+
+class _IncompleteBeta:
+    """The regularized incomplete beta function I_x(a, b) of one (a, b).
+
+    With front = x^a (1-x)^b / B(a, b) and h_(p,q) as in
+    `_HypergeometricFactor`, I_x(a, b) = front * h_(a,b)(x) / a below the
+    split (a+1)/(a+b+2) (DLMF 8.17.8), and 1 - front * h_(b,a)(1-x) / b at
+    and above it, by the symmetry I_x(a, b) = 1 - I_(1-x)(b, a).  Both
+    factors are fitted here, once; `_beta_law` caches the result.
+    """
+
+    def __init__(self, a: float, b: float):
+        self.a, self.b = a, b
+        self.split = (a + 1.0) / (a + b + 2.0)
+        self.ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        self.lower = _HypergeometricFactor(a, b)
+        self.upper = _HypergeometricFactor(b, a)
+
+    def tails(self, x: np.ndarray):
+        """(tail, front, upper) at a flat array x in [0, 1]: tail is I_x
+        below the split and 1 - I_x at the indices `upper` of the points at
+        or above it.
+
+        front divided by x(1-x) is the beta density, which Newton's step
+        in `_beta_quantile` takes from here at no extra exp or log.  Both
+        tail and front are 0 at x = 0 and x = 1.  The sides are gathered
+        by index: a boolean gather costs several times more on the
+        interleaved sides of random points.
+        """
+        with np.errstate(divide="ignore"):  # log(0) = -inf at both endpoints
+            front = np.exp(self.a * np.log(x) + self.b * np.log1p(-x) - self.ln_beta)
+        above = x >= self.split
+        lower, upper = np.flatnonzero(~above), np.flatnonzero(above)
+        tail = np.empty_like(x)
+        for side, factor, shape, u in (
+            (lower, self.lower, self.a, x[lower]),
+            (upper, self.upper, self.b, 1.0 - x[upper]),
+        ):
+            v = front[side]
+            v *= factor(u)
+            v /= shape
+            tail[side] = v
+        return tail, front, upper
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        tail, _, upper = self.tails(x.reshape(-1))
+        tail[upper] = 1.0 - tail[upper]
+        return tail.reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _beta_law(a: float, b: float) -> _IncompleteBeta:
+    return _IncompleteBeta(a, b)
 
 
 def cdf_beta(alpha, beta, y):
     """Regularized incomplete beta function I_y(alpha, beta).
 
-    Continued-fraction evaluation with the symmetry split at
-    (alpha+1)/(alpha+beta+2); non-convergence raises ConvergenceError
-    rather than returning a silently wrong value.
+    The hypergeometric form of each side of the split (alpha+1)/(alpha+beta+2)
+    is evaluated from a Chebyshev series fitted once per (alpha, beta),
+    so a value does not depend on the other points of its call.  A side
+    that no series of degree 256 captures takes the continued fraction,
+    which raises ConvergenceError rather than return an unconverged value.
     """
     a = _positive_param(alpha, "alpha")
     b = _positive_param(beta, "beta")
     arr, scalar = _as_unit_array(y)
-    out, _ = _regularized_incomplete_beta(a, b, arr, _BETA_CF_TOL, _BETA_CF_MAX_ITER)
-    return _restore(out, scalar)
+    return _restore(_beta_law(a, b).cdf(arr), scalar)
 
 
 def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
@@ -223,26 +343,60 @@ def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
     rtsafe (Press et al., Numerical Recipes, section 9.4), vectorized: every
     CDF pass narrows a bracket [lo, hi] around each root, and a point
     bisects whenever its Newton step would leave the bracket or is not
-    under half the step before last.  Only unconverged points are
-    evaluated.  A point is done once its step falls below
-    `_NEWTON_STEP_TOL` or its bracket below `_BRACKET_TOL`; p = 0 and
-    p = 1 map to exactly 0 and 1.  Raises ConvergenceError past
-    `_QUANTILE_MAX_PASSES` passes instead of returning an unconverged
-    value.
+    under half the step before last.  A root below the split is found by
+    comparing p with I_x, one above it by comparing 1 - p with 1 - I_x,
+    which keeps the digits of p next to 1.  Each starts between the power
+    law of its tail, I_x ~ x^a / (a B(a, b)) as x -> 0, and the power law
+    through the CDF at the split, which bracket the root.  Only
+    unconverged points are evaluated.  A point is done once its step or
+    its bracket falls below `_QUANTILE_RTOL` times x; p = 0 and p = 1 map
+    to exactly 0 and 1, and so does a p whose start rounds to 0 or 1.
+    Raises ConvergenceError past `_QUANTILE_MAX_PASSES` passes instead of
+    returning an unconverged value.
     """
+    law = _beta_law(a, b)
+    split = law.split
     out = np.where(p < 1.0, 0.0, 1.0)
     todo = np.flatnonzero((p > 0.0) & (p < 1.0))
     q = p[todo]
-    lo = np.zeros_like(q)
-    hi = np.ones_like(q)
-    x = np.full_like(q, 0.5)
+    qc = 1.0 - q
+    upper_split = law.tails(np.array([split]))[0][0]  # 1 - I at the split
+    high = q > 1.0 - upper_split
+    # The start's distance d from the end of its side (width w, probability
+    # t_w) solves t = d^s / (s B(a, b)), the tail's power law, as t -> 0,
+    # and t / t_w = (d / w)^s, the power law through the split, at the
+    # split; in between, log d moves from the first to the second in
+    # proportion to the second's d / w.
+    t = np.where(high, qc, q)
+    s = np.where(high, b, a)
+    w = np.where(high, 1.0 - split, split)
+    t_w = np.where(high, upper_split, 1.0 - upper_split)
+    with np.errstate(over="ignore"):
+        tail_law = (np.log(t) + np.log(s) + law.ln_beta) / s
+        through_split = np.log(t / t_w) / s
+        log_d = tail_law + np.exp(through_split) * (through_split + np.log(w) - tail_law)
+        x = np.where(high, np.maximum(-np.expm1(log_d), split), np.minimum(np.exp(log_d), split))
+    lo = np.where(high, split, 0.0)
+    hi = np.where(high, 1.0, split)
     step = np.ones_like(q)
     step_old = np.ones_like(q)
-    for _ in range(_QUANTILE_MAX_PASSES):
+    done = (x == 0.0) | (x == 1.0)
+    for passes in range(_QUANTILE_MAX_PASSES + 1):
+        out[todo[done]] = x[done]
+        keep = ~done
+        todo, q, qc, lo, hi, x, step, step_old = (
+            v[keep] for v in (todo, q, qc, lo, hi, x, step, step_old)
+        )
         if not todo.size:
-            break
-        F, front = _regularized_incomplete_beta(a, b, x, _BETA_CF_TOL, _BETA_CF_MAX_ITER)
-        g = F - q
+            return out
+        if passes == _QUANTILE_MAX_PASSES:
+            raise ConvergenceError(
+                f"beta quantile: {todo.size} points unconverged after "
+                f"{passes} CDF passes (alpha={a:g}, beta={b:g})"
+            )
+        tail, front, upper = law.tails(x)
+        g = tail - q  # I_x - p
+        g[upper] = qc[upper] - tail[upper]
         below = g < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -254,18 +408,8 @@ def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
         step_old = step
         step = np.where(bisect, 0.5 * (hi - lo), newton)
         x = np.where(bisect, lo + step, target)
-        done = (np.abs(step) < _NEWTON_STEP_TOL) | (hi - lo < _BRACKET_TOL)
-        out[todo[done]] = x[done]
-        keep = ~done
-        todo, q, lo, hi, x, step, step_old = (
-            v[keep] for v in (todo, q, lo, hi, x, step, step_old)
-        )
-    if todo.size:
-        raise ConvergenceError(
-            f"beta quantile: {todo.size} points unconverged after "
-            f"{_QUANTILE_MAX_PASSES} CDF passes (alpha={a:g}, beta={b:g})"
-        )
-    return out
+        tol = _QUANTILE_RTOL * np.maximum(x, _TINY)
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,10 +499,7 @@ class DistSpec:
                 return _kumaraswamy_kernel(a, b, arr)
 
         elif self.family == "beta":
-            a, b = self.alpha, self.beta
-
-            def kernel(arr, a=a, b=b):
-                return _regularized_incomplete_beta(a, b, arr, _BETA_CF_TOL, _BETA_CF_MAX_ITER)[0]
+            kernel = _beta_law(self.alpha, self.beta).cdf
 
         else:
             samples = self.samples
@@ -376,9 +517,10 @@ class DistSpec:
         """Evaluate the quantile function at probability p.
 
         The beta law has no closed-form inverse: its CDF is inverted by
-        safeguarded Newton to within 1e-12, with p = 0 and p = 1 mapped to
-        exactly 0 and 1.  Empirical specs have no quantile; use `sample`,
-        which bootstraps.
+        safeguarded Newton, which stops once a step moves the root by less
+        than 1e-13 of itself (of the smallest normal float for a subnormal
+        root), with p = 0 and p = 1 mapped to exactly 0 and 1.  Empirical
+        specs have no quantile; use `sample`, which bootstraps.
         """
         if self.family == "empirical":
             raise ParameterError("empirical specs are sampled by bootstrap, not by quantile")
@@ -390,7 +532,7 @@ class DistSpec:
         elif self.family == "kumaraswamy":
             out = (1.0 - (1.0 - arr) ** (1.0 / self.beta)) ** (1.0 / self.alpha)
         else:
-            out = _beta_quantile(self.alpha, self.beta, arr)
+            out = _beta_quantile(self.alpha, self.beta, arr.ravel()).reshape(arr.shape)
         return _restore(out, scalar)
 
 

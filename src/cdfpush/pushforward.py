@@ -122,9 +122,9 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     evaluation of each depth hands it, and each row is bit for bit that
     evaluation.  Every point meets the same preimage, base and
     combination arithmetic whatever it is batched with, so only a base
-    whose values depend on the batch (the beta continued fraction) can
-    tell the batches apart.  No array that F returned is ever written
-    into.
+    whose values depend on the batch (the continued fraction that an
+    extreme beta falls back to) can tell the batches apart.  No array
+    that F returned is ever written into.
     """
     if n == 0:
         return np.asarray(F(arr), dtype=float)[np.newaxis]

@@ -82,8 +82,8 @@ def arcsine_fixed_point_residual(r: float = 4.0, m: int = DEFAULT_GRID_SIZE) -> 
 
 
 def beta_arcsine_residual(points: int = IDENTITY_POINTS) -> float:
-    """Sup distance between the continued-fraction beta(1/2, 1/2) CDF and
-    the closed-form arcsine CDF."""
+    """Sup distance between the beta(1/2, 1/2) CDF, evaluated as an
+    incomplete beta function, and the closed-form arcsine CDF."""
     grid = standard_grid(points)
     return float(np.max(np.abs(cdf_beta(0.5, 0.5, grid) - DistSpec("arcsine").cdf()(grid))))
 

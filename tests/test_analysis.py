@@ -147,11 +147,11 @@ class TestKsBracketing:
 
     @pytest.mark.parametrize("r", [4.0, 3.7, 3.5])
     def test_exact_iterates_of_a_beta(self, r):
-        # beta values depend slightly on their batch (the continued fraction
-        # runs until the whole batch has converged), hence the tolerance
+        # beta values do not depend on their batch, so bracketing the
+        # supremum gives the full scan's statistic exactly
         F = iterate_pushforward(BETA.cdf(), r, 8, strategy="exact")
         emp = ensemble_push(BETA, r, 8, 20_000, 7)
-        assert abs(ks_statistic(emp, F) - ks_full(emp, F)) <= 1e-13
+        assert ks_statistic(emp, F) == ks_full(emp, F)
 
     @given(
         st.integers(min_value=1, max_value=5000),

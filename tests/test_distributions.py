@@ -1,8 +1,9 @@
 """Distribution primitives against independent oracles.
 
 Closed-form point values are checked against adaptive quadrature of the
-density and against scipy's incomplete-beta implementation, neither of
-which shares code with the library's continued fraction.
+density, against scipy's incomplete-beta implementation and against
+mpmath at 40 digits, none of which shares code with the library's
+Chebyshev series or its continued fraction.
 """
 
 import math
@@ -26,13 +27,15 @@ from cdfpush import (
     sample,
 )
 from cdfpush import distributions
-from cdfpush.distributions import _beta_continued_fraction, _regularized_incomplete_beta
+from cdfpush.distributions import _beta_continued_fraction, _beta_law
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 shape_params = st.floats(min_value=0.25, max_value=4.0)
 
 UNIFORM = DistSpec("uniform").cdf()
 ARCSINE = DistSpec("arcsine").cdf()
+SHAPES = [(0.5, 0.5), (2.5, 3.5), (0.2, 5.0), (5.0, 0.3), (20.0, 30.0)]
+CHEBYSHEV_SHAPES = SHAPES + [(0.05, 5.0)]
 
 
 def beta_cdf_by_quadrature(a, b, y):
@@ -44,6 +47,26 @@ def beta_cdf_by_quadrature(a, b, y):
     )
     assert err < 1e-10
     return value
+
+
+def mpmath_betainc(a, b):
+    """Points across [0, 1] (both tails, the split, the bulk), I_y(a, b) at
+    40 digits, and the tail the library evaluates there: I_y below the
+    split, 1 - I_y at and above it."""
+    split = _beta_law(a, b).split
+    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+    y = np.concatenate([
+        [0.0, 5e-324, 1.0],
+        np.linspace(0.0, 1.0, 17)[1:-1],
+        np.logspace(-300, -1, 9),
+        1.0 - np.logspace(-16, -1, 9),
+        split * (1.0 + np.array([-1e-3, 0.0, 1e-3])),
+        np.clip(a / (a + b) + np.linspace(-8.0, 8.0, 9) * sd, 0.0, 1.0),
+    ])
+    with mpmath.workdps(40):
+        exact = [mpmath.betainc(a, b, 0, mpmath.mpf(v), regularized=True) for v in y]
+        side_tail = np.array([float(1 - v if u >= split else v) for u, v in zip(y, exact)])
+        return y, np.array([float(v) for v in exact]), side_tail
 
 
 class TestUniform:
@@ -168,23 +191,74 @@ class TestBetaCdf:
         assert cdf_beta(a, b, 0.0) == 0.0
         assert cdf_beta(a, b, 1.0) == 1.0
 
+    def test_keeps_the_shape_of_its_input(self):
+        y = np.array([[0.1, 0.9, 0.0], [0.5, 0.7, 1.0]])
+        got = cdf_beta(2.0, 3.0, y)
+        assert got.shape == y.shape
+        assert np.array_equal(got.ravel(), cdf_beta(2.0, 3.0, y.ravel()))
+
     def test_interior_batch_equals_batch_with_endpoints(self):
-        # an all-interior batch skips the gather and scatter
+        # the endpoints go through the same formulas: front is 0 there
         y = np.random.default_rng(5).random(1000)
         for a, b in [(0.5, 0.5), (2.5, 3.5)]:
+            law = _beta_law(a, b)
             with_ends = np.concatenate(([0.0], y, [1.0]))
-            cdf, front = _regularized_incomplete_beta(a, b, y, 1e-12, 300)
-            cdf_ends, front_ends = _regularized_incomplete_beta(a, b, with_ends, 1e-12, 300)
-            assert np.array_equal(cdf_ends[1:-1], cdf) and np.array_equal(front_ends[1:-1], front)
-            assert (cdf_ends[0], cdf_ends[-1], front_ends[0], front_ends[-1]) == (0.0, 1.0, 0.0, 0.0)
+            tail, front, upper = law.tails(y)
+            tail_ends, front_ends, upper_ends = law.tails(with_ends)
+            assert np.array_equal(tail_ends[1:-1], tail) and np.array_equal(front_ends[1:-1], front)
+            assert np.array_equal(upper_ends, np.append(upper + 1, y.size + 1))
+            assert (tail_ends[0], tail_ends[-1], front_ends[0], front_ends[-1]) == (0.0, 0.0, 0.0, 0.0)
+            assert np.array_equal(law.cdf(with_ends)[[0, -1]], [0.0, 1.0])
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         # starve the continued fraction of iterations; a silent wrong
         # value here would poison every downstream comparison
         with pytest.raises(ConvergenceError):
             _beta_continued_fraction(0.5, 0.5, np.array([0.3]), 1e-12, 1)
+        # the side of (1000, 1/2) below its split takes the fallback
+        assert _beta_law(1000.0, 0.5).lower.coef is None
+        monkeypatch.setattr(distributions, "_BETA_CF_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            _regularized_incomplete_beta(2.0, 3.0, np.array([0.4]), 1e-12, 1)
+            cdf_beta(1000.0, 0.5, 0.99)
+
+    @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES)
+    @given(st.lists(unit_floats, min_size=1, max_size=64), st.data())
+    def test_value_alone_equals_value_in_any_batch(self, a, b, batch, data):
+        # Clenshaw does the same operations for every point, so no value
+        # depends on what else is evaluated with it
+        i = data.draw(st.integers(min_value=0, max_value=len(batch) - 1))
+        alone = cdf_beta(a, b, np.array([batch[i]]))
+        assert np.array_equal(cdf_beta(a, b, np.array(batch))[[i]], alone)
+        assert np.array_equal(DistSpec("beta", a, b).cdf()(np.array(batch))[[i]], alone)
+
+    @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES + [(1000.0, 1000.0)])
+    def test_every_side_is_a_chebyshev_series(self, a, b):
+        law = _beta_law(a, b)
+        assert law.lower.coef is not None and law.upper.coef is not None
+        assert max(law.lower.coef.size, law.upper.coef.size) <= 80
+
+    @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES + [(100.0, 100.0), (1000.0, 1000.0)])
+    def test_against_mpmath(self, a, b):
+        # within 16 eps of the tail the evaluated side forms (F below the
+        # split, 1 - F above), scaled by the condition number of the front
+        # factor's exp: 1 + |a ln y| + |b ln(1-y)| + |ln B(a, b)|
+        y, expected, side_tail = mpmath_betainc(a, b)
+        got = cdf_beta(a, b, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condition = 1.0 + np.nan_to_num(np.abs(a * np.log(y)) + np.abs(b * np.log1p(-y)), posinf=0.0)
+        condition += abs(_beta_law(a, b).ln_beta)
+        bound = 16 * np.finfo(float).eps * condition * side_tail
+        assert np.all(np.abs(got - expected) <= np.maximum(bound, 0.5 * np.spacing(expected)))
+
+    def test_continued_fraction_fallback_against_mpmath(self):
+        # the lower side of (1000, 1/2) ends next to 1 (split 0.9985): no
+        # Chebyshev series of degree 256 captures it, so it takes the
+        # continued fraction, run to 1e-12
+        a, b = 1000.0, 0.5
+        law = _beta_law(a, b)
+        assert law.lower.coef is None and law.upper.coef is not None
+        y, expected, _ = mpmath_betainc(a, b)
+        assert np.max(np.abs(cdf_beta(a, b, y) - expected)) <= 1e-12
 
 
 def allocating_lentz(a, b, x, tol, max_iter):
@@ -237,8 +311,6 @@ class TestLentzLoop:
 
 
 class TestBetaQuantile:
-    SHAPES = [(0.5, 0.5), (2.5, 3.5), (0.2, 5.0), (5.0, 0.3), (20.0, 30.0)]
-
     @pytest.mark.parametrize("a, b", SHAPES)
     def test_matches_scipy(self, a, b):
         p = np.linspace(1e-6, 1.0 - 1e-6, 2001)
@@ -253,18 +325,56 @@ class TestBetaQuantile:
         assert (lo, hi) == (0.0, 1.0)
         assert np.array_equal(spec.quantile(np.array([1.0, 0.0, 0.5]))[:2], [1.0, 0.0])
 
-    def test_cdf_passes_per_draw(self, monkeypatch):
+    @staticmethod
+    def cdf_passes_per_draw(monkeypatch, a, b, n=10_000):
         points = []
-        original = distributions._regularized_incomplete_beta
+        original = distributions._IncompleteBeta.tails
 
-        def counting(a, b, y, tol, max_iter):
-            points.append(y.size)
-            return original(a, b, y, tol, max_iter)
+        def counting(law, x):
+            points.append(x.size)
+            return original(law, x)
 
-        monkeypatch.setattr(distributions, "_regularized_incomplete_beta", counting)
-        n = 10_000
-        sample(DistSpec("beta", 2.5, 3.5), n, 2024)
-        assert sum(points) <= 10 * n
+        monkeypatch.setattr(distributions._IncompleteBeta, "tails", counting)
+        sample(DistSpec("beta", a, b), n, 2024)
+        return sum(points) / n
+
+    def test_cdf_passes_per_draw(self, monkeypatch):
+        assert self.cdf_passes_per_draw(monkeypatch, 2.5, 3.5) <= 10
+
+    @pytest.mark.parametrize("a, b", [(0.05, 5.0), (0.2, 5.0)])
+    def test_cdf_passes_per_draw_on_a_power_law_tail(self, monkeypatch, a, b):
+        # started at x = 1/2, these draws took 26.9 and 14.5 passes each
+        assert self.cdf_passes_per_draw(monkeypatch, a, b) <= 5
+
+    @pytest.mark.parametrize("a, b", [(0.05, 5.0), (0.2, 5.0)])
+    def test_relative_error_in_the_lower_tail(self, a, b):
+        # every quantile within 1e-12 of the root relative to x, or within
+        # 1e-12 of the smallest normal float where x is subnormal or 0:
+        # I at 40 digits brackets p between the two ends of that interval.
+        # An absolute stop returned 4.5e-13 for every p below about 1e-12,
+        # where the roots for (0.05, 5) at p = 0.01, 0.1, 0.2 are 1.3e-41,
+        # 1.3e-21 and 1.4e-15.
+        p = np.concatenate([np.logspace(-300, 0, 50), [0.01, 0.1, 0.2]])
+        x = DistSpec("beta", a, b).quantile(p)
+        slack = 1e-12 * np.maximum(x, np.finfo(float).tiny)
+        with mpmath.workdps(40):
+            for pi, lo, hi in zip(p, np.maximum(x - slack, 0.0), np.minimum(x + slack, 1.0)):
+                assert mpmath.betainc(a, b, 0, lo, regularized=True) <= pi
+                assert pi <= mpmath.betainc(a, b, 0, hi, regularized=True)
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.5), (1000.0, 1000.0)])
+    def test_complement_next_to_one(self, a, b):
+        # above the split the root is found from 1 - p: comparing p with
+        # I_x was 1.05e-6 off at (2.5, 3.5) and 9.6e-5 at (1000, 1000)
+        p = np.concatenate([1.0 - np.logspace(-16, -1, 400), [1.0 - 2.0**-53, 1.0 - 5.6e-16]])
+        x = DistSpec("beta", a, b).quantile(p)
+        assert np.max(np.abs(x - special.betaincinv(a, b, p))) <= 2e-14
+
+    def test_keeps_the_shape_of_its_input(self):
+        p = np.array([[0.1, 0.2, 0.0], [0.3, 0.4, 1.0]])
+        x = DistSpec("beta", 2.0, 3.0).quantile(p)
+        assert x.shape == p.shape
+        assert np.array_equal(x.ravel(), DistSpec("beta", 2.0, 3.0).quantile(p.ravel()))
 
     def test_domain(self):
         spec = DistSpec("beta", 2.5, 3.5)
