@@ -220,6 +220,8 @@ class TestBetaCdf:
         monkeypatch.setattr(distributions, "_BETA_CF_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             cdf_beta(1000.0, 0.5, 0.99)
+        # a side whose samples do not converge gets no series
+        assert distributions._chebyshev_fit(2.5, 3.5, 3.5 / 8.0) is None
 
     @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES)
     @given(st.lists(unit_floats, min_size=1, max_size=64), st.data())
