@@ -7,7 +7,9 @@ with CDF F has the closed form
     G(y) = 1                                   for y >= r/4,
 
 where x_lo <= x_hi are the two preimages of y.  Iterating this operator
-propagates a distribution forward exactly, with no sampling error.
+propagates a distribution forward exactly, with no sampling error.  The
+paper's own case, the uniform start at r = 4, also has a closed form at
+every depth through the map's conjugacy with the tent map.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import Cdf, _arcsine_kernel, _as_unit_array, _integer, _restore
+from .distributions import Cdf, _arcsine_kernel, _as_unit_array, _integer, _restore, _uniform_kernel
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -36,8 +38,10 @@ __all__ = [
 
 # beyond this depth one exact evaluation costs up to 2**n base evaluations
 # per point (all of them at r = 4; `_pull` prunes at the peak r/4 below it);
-# `iterates` evaluates depths 0..limit in one traversal, which costs about
-# twice the deepest one, and the deeper ones from one pass of the grid chain
+# for any start but the uniform at r = 4, which has its closed form at every
+# depth, `iterates` evaluates depths 0..limit in one traversal, which costs
+# about twice the deepest one, and the deeper ones from one pass of the grid
+# chain
 EXACT_ITERATION_LIMIT = 12
 # `_pull` sends both preimage branches of a node down as one array while
 # they hold at most this many points: the up to 13 rows of a batch then take
@@ -233,10 +237,12 @@ class IterateCdf(Cdf):
 
     `strategy` records how evaluation happens: "exact" runs the
     pushforward recursion over the preimage tree (up to 2**n base
-    evaluations per point, batched by levels; at n = 0 the base itself)
-    while "grid" interpolates the values that the grid chain holds at
-    the knots of the standard grid after n steps.  `iterates` evaluates
-    every depth the same two ways at once.
+    evaluations per point, batched by levels; at n = 0 the base itself),
+    "grid" interpolates the values that the grid chain holds at the
+    knots of the standard grid after n steps, and "closed-form"
+    evaluates the tent-map closed form of the uniform start at r = 4 (see
+    `_tent_uniform`).  `iterates` evaluates every depth the same ways at
+    once.
     """
 
     strategy: str
@@ -249,14 +255,60 @@ def _depth(n) -> int:
     return steps
 
 
-def _exact_rows(n: int) -> int:
-    """How many of the depths 0..n the "auto" strategy evaluates exactly.
+def _route(fn, rr: float, n: int) -> tuple[int, str]:
+    """How the "auto" strategy evaluates the depths 0..n of the base
+    kernel fn: the leading `exact` of them exactly, the deeper ones by
+    the strategy `deeper`.
 
-    They are a leading run, since a depth costs at least as much as the
-    one before, and the deeper ones go to the grid chain.  This is the
-    one place that decides between the two strategies.
+    The uniform start at r = 4 (the kernel of the uniform spec, not a
+    callable that wraps it) has a closed form at every depth from 1 on.
+    Any other base goes exactly through `EXACT_ITERATION_LIMIT`, a
+    leading run since a depth costs at least as much as the one before,
+    and to the grid chain beyond.  This is the one place that decides
+    between the strategies.
     """
-    return min(n, EXACT_ITERATION_LIMIT) + 1
+    if fn is _uniform_kernel and rr == 4.0:
+        return 1, "closed-form"
+    return min(n, EXACT_ITERATION_LIMIT) + 1, "grid"
+
+
+def _tent_coordinate(arr: np.ndarray) -> np.ndarray:
+    """u = (2/pi)*arcsin(sqrt(y)), computed as the angle of the point
+    (sqrt(1 - y), sqrt(y)): arcsin magnifies the rounding of sqrt(y)
+    next to y = 1 (to 2.7e-14 on the knots of `standard_grid(4096)`),
+    while the angle keeps full precision on all of [0, 1]."""
+    return (2.0 / np.pi) * np.arctan2(np.sqrt(arr), np.sqrt(1.0 - arr))
+
+
+def _tent_uniform(u: np.ndarray, n: int) -> np.ndarray:
+    """D_n, n >= 1, of the uniform start at r = 4 at the tent coordinates
+    u of `_tent_coordinate`; may return u itself.
+
+    y = sin^2(pi*u/2) conjugates the map at r = 4 to the tent map
+    (Ulam and von Neumann, Bull. AMS 53, 1947), whose n-th preimage of
+    [0, u] is 2**n intervals of length u/2**n; with a = pi/2**n the
+    uniform mass of their images under sin^2(pi*t/2) sums to
+
+        D_n = 2*sin^2(a*u/2) + sin(a*u)*cot(a).
+
+    Both terms are nonnegative and increase with u, so the sum is
+    monotone and keeps its relative precision near 0; it is capped at 1
+    and is exactly 1 at u = 1.  D_n - u is
+    -(pi^2/6)*4**-n*u*(1-u)*(2-u)*(1 + O(4**-n)), at most (pi^2/3)*4**-n
+    of u: from the depth where that is below half an ulp (n = 28) on,
+    D_n is u itself, and a = pi/2**n, which underflows past n = 1075, is
+    never formed.
+    """
+    if math.ldexp(math.pi**2 / 3.0, -2 * n) < 0.5 * np.finfo(float).eps:
+        return u
+    a = math.ldexp(math.pi, -n)
+    out = np.sin(u * (0.5 * a))
+    np.square(out, out=out)
+    out *= 2.0
+    out += np.sin(u * a) * (math.cos(a) / math.sin(a))
+    np.minimum(out, 1.0, out=out)
+    out[u == 1.0] = 1.0
+    return out
 
 
 def _grid_chain(fn, rr: float, grid: np.ndarray, u: np.ndarray):
@@ -290,12 +342,16 @@ def _as_cdf(F0) -> Cdf:
 def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     """Propagate the CDF F0 forward n steps through the map.
 
-    strategy "auto" uses the exact recursion up to EXACT_ITERATION_LIMIT
-    steps and the grid chain on DEFAULT_GRID_SIZE intervals beyond;
-    "exact" above the limit raises ResourceLimitError instead of
-    attempting a 2**n-fold evaluation.  n = 0 returns the base CDF
-    unchanged, recorded as "exact" whatever the strategy.  n must be an
-    integer; a float or a string raises ParameterError.
+    strategy "auto" evaluates the uniform start at r = 4 (the uniform
+    spec's CDF) by its closed form at every depth, recorded as
+    "closed-form"; any other base goes through the exact recursion up to
+    EXACT_ITERATION_LIMIT steps and the grid chain on DEFAULT_GRID_SIZE
+    intervals beyond.  "exact" and "grid" force the recursion or the
+    grid chain for every base; "exact" above the limit raises
+    ResourceLimitError instead of attempting a 2**n-fold evaluation.
+    n = 0 returns the base CDF unchanged, recorded as "exact" whatever
+    the strategy.  n must be an integer; a float or a string raises
+    ParameterError.
 
     The exact iterate validates its points once and hands them to the
     kernel `_pull` for one row; its values are bit for bit those of the
@@ -309,18 +365,25 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     if strategy not in ("auto", "exact", "grid"):
         raise ParameterError(f"unknown strategy {strategy!r}")
     base = _as_cdf(F0)
-    within = steps < _exact_rows(steps)  # the exact path reaches depth `steps`
+    if steps == 0:
+        return IterateCdf(base.fn, base.provenance, "exact")
+    exact, deeper = _route(base.fn, rr, steps)
     resolved = strategy
     if strategy == "auto":
-        resolved = "exact" if within else "grid"
-    if resolved == "exact" and not within:
+        resolved = "exact" if steps < exact else deeper
+    if resolved == "exact" and steps > EXACT_ITERATION_LIMIT:
         raise ResourceLimitError(
             f"exact recursion for n={steps} would need 2**{steps} base evaluations "
             f"per point; the supported depth is {EXACT_ITERATION_LIMIT} (use the grid strategy)"
         )
 
-    if steps == 0:
-        return IterateCdf(base.fn, base.provenance, "exact")
+    if resolved == "closed-form":
+
+        def kernel(arr: np.ndarray) -> np.ndarray:
+            return _tent_uniform(_tent_coordinate(arr), steps)
+
+        provenance = f"tent-closed-form[r=4,n={steps}]({base.provenance})"
+        return IterateCdf(kernel, provenance, resolved)
     if resolved == "exact":
         fn = base.fn
 
@@ -354,25 +417,34 @@ def iterates(F0, r, n: int, y) -> np.ndarray:
     under the map, as an (n+1, len(y)) array (y is flattened).
 
     Row k equals `iterate_pushforward(F0, r, k)(y)` bit for bit, but the
-    work is shared: the depths that "auto" evaluates exactly come from
-    one traversal of `_pull`, which calls the base once per node of the
-    preimage tree (once per level while the levels are small), and the
-    deeper ones from one pass of the grid chain, which tabulates the
-    base once.  n must be an integer, as for `iterate_pushforward`.
+    work is shared.  For the uniform start at r = 4 the tent coordinates
+    of y are computed once and every row from depth 1 on is its closed
+    form.  For any other base the depths that "auto" evaluates exactly
+    come from one traversal of `_pull`, which calls the base once per
+    node of the preimage tree (once per level while the levels are
+    small), and the deeper ones from one pass of the grid chain, which
+    tabulates the base once.  n must be an integer, as for
+    `iterate_pushforward`.
     """
     rr = validate_map_param(r)
     steps = _depth(n)
     fn = _as_cdf(F0).fn
     arr = _as_unit_array(y)[0].ravel()
-    exact = _exact_rows(steps)
+    exact, deeper = _route(fn, rr, steps)
     out = np.ones((steps + 1, arr.size))
     out[:exact] = _pull(fn, rr, exact - 1, arr, rows=exact)
-    if exact <= steps:
-        grid = standard_grid(DEFAULT_GRID_SIZE)
-        u = _arcsine_kernel(grid)
-        mask = arr < rr / 4.0
-        at = _arcsine_kernel(arr[mask])
-        chain = islice(_grid_chain(fn, rr, grid, u), exact, steps + 1)
-        for row, values in zip(out[exact:], chain):
-            row[mask] = np.interp(at, u, values)
+    if exact > steps:
+        return out
+    if deeper == "closed-form":
+        u = _tent_coordinate(arr)
+        for k in range(exact, steps + 1):
+            out[k] = _tent_uniform(u, k)
+        return out
+    grid = standard_grid(DEFAULT_GRID_SIZE)
+    u = _arcsine_kernel(grid)
+    mask = arr < rr / 4.0
+    at = _arcsine_kernel(arr[mask])
+    chain = islice(_grid_chain(fn, rr, grid, u), exact, steps + 1)
+    for row, values in zip(out[exact:], chain):
+        row[mask] = np.interp(at, u, values)
     return out

@@ -8,7 +8,6 @@ long orbit should match the arcsine law.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,13 +79,11 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     x = start
     for _ in range(n_burn):
         x = rr * x * (1.0 - x)
-    # a packed buffer, not a list of float objects: 8 bytes per state
-    out = array("d")
-    append = out.append
-    for _ in range(n_record):
+    states = np.empty(n_record)
+    view = memoryview(states)
+    for i in range(n_record):
         x = rr * x * (1.0 - x)
-        append(x)
-    states = np.frombuffer(out, dtype=float)
+        view[i] = x
     return Trajectory(rr, start, n_burn, states, _is_degenerate(rr, states))
 
 

@@ -70,8 +70,11 @@ def one_step_uniform_residual(r: float = 4.0, m: int = DEFAULT_GRID_SIZE) -> flo
 
 def two_step_uniform_residual(r: float = 4.0, m: int = DEFAULT_GRID_SIZE) -> float:
     """Sup distance of the two-step pushforward of the uniform CDF from
-    the Kumaraswamy(1/2, 1/2) CDF, its closed form at r = 4."""
-    iterate = iterate_pushforward(DistSpec("uniform").cdf(), r, 2)
+    the Kumaraswamy(1/2, 1/2) CDF, its closed form at r = 4.  The
+    pushforward runs the exact recursion, which the "auto" strategy
+    would replace by the tent-map closed form at r = 4, so that this
+    checks the operator."""
+    iterate = iterate_pushforward(DistSpec("uniform").cdf(), r, 2, strategy="exact")
     return sup_distance(iterate, DistSpec("kumaraswamy", 0.5, 0.5).cdf(), m)
 
 

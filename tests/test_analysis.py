@@ -1,5 +1,7 @@
 """Distances, KS machinery, and the convergence table."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -132,7 +134,8 @@ class TestKsBracketing:
 
     @pytest.mark.parametrize("r, depth", [(4.0, 14), (3.7, 13)])
     def test_grid_iterates(self, r, depth):
-        F = iterate_pushforward(U, r, depth)
+        # the grid strategy named: "auto" serves the uniform at r = 4 in closed form
+        F = iterate_pushforward(U, r, depth, strategy="grid")
         assert F.strategy == "grid"
         emp = ensemble_push(DistSpec("uniform"), r, depth, 20_000, 5)
         assert ks_statistic(emp, F) == ks_full(emp, F)
@@ -243,6 +246,21 @@ class TestConvergenceTable:
             assert cols["to_uniform"][i] == sup_distance(iterate, U, 512)
             assert cols["to_kumaraswamy"][i] == sup_distance(iterate, K_HALF, 512)
             assert cols["to_arcsine"][i] == sup_distance(iterate, A, 512)
+
+    def test_rows_past_the_exact_limit(self):
+        # the grid chain read 4.5e-13 at both depths: a grid of 1025 knots
+        # cannot hold the deviation of D_n from the arcsine law past n = 12
+        to_a = convergence_table(14)["to_arcsine"]
+        assert abs(to_a[13] - 9.434e-9) <= 1e-12
+        assert abs(to_a[14] - 2.359e-9) <= 1e-12
+
+    def test_distance_to_arcsine_falls_as_four_to_the_minus_n(self):
+        # D_n - u = -(pi^2/6)*4**-n*u*(1-u)*(2-u) to leading order, whose
+        # largest size, at u = 1 - 1/sqrt(3), is pi^2/(9*sqrt(3))*4**-n
+        to_a = convergence_table(16)["to_arcsine"]
+        law = math.pi**2 / (9.0 * math.sqrt(3.0))
+        for n in range(10, 17):
+            assert abs(to_a[n] * 4.0**n / law - 1.0) <= 1e-5, n
 
     def test_depth_validation(self):
         with pytest.raises(ParameterError):

@@ -40,6 +40,16 @@ class TestIterate:
         d2 = np.array(cols["D2"])
         assert np.max(np.abs(d2 - cdf_kumaraswamy(0.5, 0.5, y))) <= 1e-10
 
+    def test_any_depth_at_r4(self, capsys):
+        # the closed form has no depth limit: pi/2**n is never formed
+        # once D_n equals the arcsine law to rounding
+        code, out, _ = run_cli(["iterate", "--steps", "2000", "--grid", "64", "--format", "json"], capsys)
+        assert code == 0
+        cols = json.loads(out)["columns"]
+        assert len(cols) == 2002
+        assert all(np.all(np.isfinite(values)) for values in cols.values())
+        assert cols["D2000"][0] == 0.0 and cols["D2000"][-1] == 1.0
+
     def test_support_shrinkage_below_r4(self, capsys):
         code, out, _ = run_cli(["iterate", "--r", "2", "--steps", "1", "--grid", "16"], capsys)
         assert code == 0

@@ -8,6 +8,7 @@ against each other.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -203,9 +204,11 @@ class TestIterate:
             iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 13, strategy="exact")
 
     def test_auto_switches_to_grid(self):
-        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 13)
+        # a base the closed form does not serve
+        base = DistSpec("kumaraswamy", 2.0, 3.0).cdf()
+        it = iterate_pushforward(base, 4.0, 13)
         assert it.strategy == "grid"
-        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 12)
+        it = iterate_pushforward(base, 4.0, 12)
         assert it.strategy == "exact"
 
     def test_negative_steps_rejected(self):
@@ -223,7 +226,7 @@ class TestIterate:
         assert np.max(np.abs(np.asarray(exact(y)) - np.asarray(grid(y)))) <= 1e-6
 
     def test_exact_provenance_nests_one_pushforward_per_step(self):
-        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 2)
+        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 2, strategy="exact")
         assert it.provenance == "pushforward[r=4](pushforward[r=4](closed-form:uniform))"
 
     def test_grid_strategy_support_shrinkage(self):
@@ -249,7 +252,7 @@ class TestIterateContract:
 
     @pytest.mark.parametrize("n, strategy", [(0, "exact"), (3, "exact"), (13, "grid")])
     def test_iterate_is_a_cdf_with_its_strategy(self, n, strategy):
-        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)
+        it = iterate_pushforward(DistSpec("kumaraswamy", 2.0, 3.0).cdf(), 4.0, n)
         assert isinstance(it, Cdf)
         assert it.strategy == strategy
 
@@ -263,7 +266,7 @@ class TestIterateContract:
         assert calls == []
         values = it(y)
         assert len(calls) == 1
-        assert np.array_equal(values, iterate_pushforward(base, 4.0, 3)(y))
+        assert np.array_equal(values, iterate_pushforward(base, 4.0, 3, strategy="exact")(y))
 
     def test_grid_path_calls_base_fn_once_to_tabulate(self):
         base = DistSpec("uniform").cdf()
@@ -271,7 +274,7 @@ class TestIterateContract:
         it = iterate_pushforward(counted, 4.0, 13)
         assert calls == [standard_grid(4096).size]
         y = standard_grid(64)
-        assert np.array_equal(it(y), iterate_pushforward(base, 4.0, 13)(y))
+        assert np.array_equal(it(y), iterate_pushforward(base, 4.0, 13, strategy="grid")(y))
         assert len(calls) == 1
 
     def test_iterates_hands_the_base_the_arrays_of_each_depth(self):
@@ -539,8 +542,9 @@ class TestExactKernel:
     @pytest.mark.parametrize("r", [4.0, 3.5])
     def test_iterates_never_write_into_what_the_base_returns(self, r):
         # bases that return their own input or a cached array, against
-        # the copying uniform; a write into either would show in y or in
-        # the second call
+        # the copying uniform (as a plain callable, which the closed form
+        # does not serve); a write into either would show in y or in the
+        # second call
         y = _kernel_grid(r)
         kept = y.copy()
         cache = {}
@@ -548,7 +552,7 @@ class TestExactKernel:
         def cached(arr):
             return cache.setdefault(arr.tobytes(), arr.copy())
 
-        expected = iterates(DistSpec("uniform").cdf(), r, 14, y)
+        expected = iterates(Cdf(np.copy, "test"), r, 14, y)
         for fn in (lambda arr: arr, cached, cached):
             assert np.array_equal(iterates(Cdf(fn, "test"), r, 14, y), expected)
         assert np.array_equal(y, kept)
@@ -572,6 +576,130 @@ class TestExactKernel:
             closed = 2.0 * np.sin(np.pi * u / 2 ** (n + 1)) ** 2 + np.sin(np.pi * u / 2**n) / np.tan(np.pi / 2**n)
             exact = iterate_pushforward(base, 4.0, n, strategy="exact")
             assert np.max(np.abs(exact(y) - closed)) <= 1e-9, n
+
+
+def _mp_tent_uniform(y, n):
+    """D_n(y) of the uniform start at r = 4 in 40-digit arithmetic, from
+    the tent-map closed form."""
+    with mpmath.workdps(40):
+        u = 2 / mpmath.pi * mpmath.asin(mpmath.sqrt(mpmath.mpf(float(y))))
+        if n == 0:
+            return mpmath.mpf(float(y))
+        a = mpmath.pi / mpmath.mpf(2) ** n
+        return 2 * mpmath.sin(a * u / 2) ** 2 + mpmath.sin(a * u) * mpmath.cot(a)
+
+
+def _mp_pushforward_uniform(y, n):
+    """D_n(y) of the uniform start at r = 4 in 40-digit arithmetic, from
+    the operator itself: F(lo) + 1 - F(hi) over the preimage tree."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(y))
+
+        def pull(t, depth):
+            if depth == 0:
+                return t
+            if t >= 1:
+                return mpmath.mpf(1)
+            q = mpmath.sqrt(mpmath.mpf(1) / 4 - t / 4)
+            return pull(mpmath.mpf(1) / 2 - q, depth - 1) + 1 - pull(mpmath.mpf(1) / 2 + q, depth - 1)
+
+        return pull(t, n)
+
+
+def _tent_points():
+    """Knots of the standard grid, random points, and points crowding
+    both ends of [0, 1]."""
+    rng = np.random.default_rng(1947)
+    y = np.concatenate([
+        standard_grid(1024),
+        rng.random(200),
+        10.0 ** rng.uniform(-300.0, -1.0, 50),
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 50),
+    ])
+    return np.sort(y)
+
+
+class TestTentClosedForm:
+    """"auto" evaluates the uniform start at r = 4 from the tent-map
+    closed form at every depth; the recursion and the grid chain remain
+    the strategies for every other base and on request."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 13, 14, 40, 2000])
+    def test_matches_high_precision(self, n):
+        y = _tent_points()
+        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)
+        assert it.strategy == ("exact" if n == 0 else "closed-form")
+        want = np.array([float(_mp_tent_uniform(v, n)) for v in y])
+        assert np.max(np.abs(it(y) - want)) <= 4e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_is_the_operator(self, n):
+        # the oracle of the test above against the defining recursion
+        y = _tent_points()[::25]
+        for v in y:
+            assert abs(_mp_tent_uniform(v, n) - _mp_pushforward_uniform(v, n)) <= 1e-30
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 27, 28, 1023, 1024, 2000])
+    def test_is_a_cdf_at_every_depth(self, n):
+        rng = np.random.default_rng(n)
+        y = np.sort(np.concatenate([
+            rng.random(100_000),
+            np.linspace(0.49, 0.51, 10_001),
+            10.0 ** rng.uniform(-320.0, -1.0, 2000),
+            1.0 - 10.0 ** rng.uniform(-17.0, -1.0, 2000),
+            [0.0, 1.0],
+        ]))
+        y = np.clip(y, 0.0, 1.0)
+        values = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)(y)
+        assert values[0] == 0.0 and values[-1] == 1.0
+        assert np.all(np.diff(values) >= 0.0)
+        assert values.min() >= 0.0 and values.max() <= 1.0
+        assert iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)(1.0) == 1.0
+
+    def test_deep_iterates_are_the_arcsine_coordinate(self):
+        # D_n - u falls below rounding from n = 28 on; the closed form
+        # then returns u, without forming pi/2**n, which underflows
+        y = _tent_points()
+        U = DistSpec("uniform").cdf()
+        deep = iterate_pushforward(U, 4.0, 28)(y)
+        for n in (29, 1075, 1076, 2000, 10**6):
+            assert np.array_equal(iterate_pushforward(U, 4.0, n)(y), deep)
+        assert not np.array_equal(iterate_pushforward(U, 4.0, 27)(y), deep)
+        with mpmath.workdps(40):
+            u = [float(2 / mpmath.pi * mpmath.asin(mpmath.sqrt(mpmath.mpf(float(v))))) for v in y]
+        assert np.max(np.abs(deep - u)) <= 4e-15
+
+    def test_iterates_rows_are_each_depth(self):
+        U = DistSpec("uniform").cdf()
+        y = _tent_points()
+        rows = iterates(U, 4.0, 40, y)
+        for n, row in enumerate(rows):
+            it = iterate_pushforward(U, 4.0, n)
+            assert np.array_equal(row, it(y)), n
+            assert it.strategy == ("exact" if n == 0 else "closed-form")
+        assert it.provenance == "tent-closed-form[r=4,n=40](closed-form:uniform)"
+
+    def test_route_is_the_uniform_spec_at_r4_only(self):
+        U = DistSpec("uniform").cdf()
+        assert iterate_pushforward(U, 4.0, 5).strategy == "closed-form"
+        assert iterate_pushforward(U, np.nextafter(4.0, 0.0), 5).strategy == "exact"
+        assert iterate_pushforward(Cdf(np.copy, "test"), 4.0, 5).strategy == "exact"
+        assert iterate_pushforward(DistSpec("arcsine").cdf(), 4.0, 5).strategy == "exact"
+        # the named strategies stay the recursion and the grid chain
+        assert iterate_pushforward(U, 4.0, 5, strategy="exact").strategy == "exact"
+        assert iterate_pushforward(U, 4.0, 13, strategy="grid").strategy == "grid"
+
+    def test_right_past_depth_12_where_the_grid_chain_is_not(self):
+        # the grid chain's 4097 knots cannot hold the deviation of D_13
+        # from the arcsine law: it puts D_13 4.5e-13 from that law, where
+        # the truth is 9.4e-9
+        U = DistSpec("uniform").cdf()
+        y = standard_grid(1024)
+        want = np.array([float(_mp_tent_uniform(v, 13)) for v in y])
+        closed = iterate_pushforward(U, 4.0, 13)(y)
+        grid = iterate_pushforward(U, 4.0, 13, strategy="grid")(y)
+        assert np.max(np.abs(closed - want)) <= 4e-15
+        assert np.max(np.abs(grid - want)) > 1e-9
 
 
 def _depth_first_preimages(t, rr):
@@ -615,11 +743,14 @@ class TestLevelBatches:
     def test_matches_depth_first_recursion(self, init, r):
         # on 4097 points the pairs outgrow 2**14 points a few levels down,
         # except at r = 2, where every upper preimage lies above the peak
+        # the base behind a plain callable: "auto" would serve the uniform
+        # at r = 4 in closed form, where `iterates` must run the kernel
         base = DistSpec.parse(init).cdf()
+        plain = Cdf(lambda arr: base.fn(arr), base.provenance)
         y = standard_grid(4096)
         assert np.array_equal(iterate_pushforward(base, r, 8, strategy="exact")(y),
                               _depth_first_pull(base.fn, r, 8, y)[0])
-        assert np.array_equal(iterates(base, r, 8, y), _depth_first_pull(base.fn, r, 8, y, rows=9))
+        assert np.array_equal(iterates(plain, r, 8, y), _depth_first_pull(base.fn, r, 8, y, rows=9))
 
     @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
     def test_beta_is_within_its_batch_dependence(self, r):

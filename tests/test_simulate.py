@@ -78,6 +78,21 @@ class TestTrajectory:
         x = run.states
         assert np.array_equal(x[1:], 3.7 * x[:-1] * (1.0 - x[:-1]))
 
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    @pytest.mark.parametrize("r", [4.0, 3.7, 2.0])
+    def test_states_are_the_plain_loop(self, r, burn_in):
+        for steps in (1, 5000):
+            x = 0.3
+            for _ in range(burn_in):
+                x = r * x * (1.0 - x)
+            expected = []
+            for _ in range(steps):
+                x = r * x * (1.0 - x)
+                expected.append(x)
+            run = trajectory(r, 0.3, steps, burn_in=burn_in)
+            assert run.states.dtype == np.float64
+            assert np.array_equal(run.states, np.array(expected))
+
     def test_stable_fixed_point_flagged(self):
         # r=2 contracts onto 1 - 1/r = 1/2
         run = trajectory(2.0, 0.3, 1000, burn_in=1000)

@@ -3,7 +3,8 @@
 import pytest
 
 from cdfpush import DistSpec, run_verification
-from cdfpush.verify import propagation_ks
+from cdfpush import pushforward
+from cdfpush.verify import propagation_ks, two_step_uniform_residual
 
 
 class TestRunVerification:
@@ -35,6 +36,22 @@ class TestRunVerification:
         assert checks["beta-matches-arcsine"].passed
         assert checks["halfangle-identity"].passed
         assert checks["sqrt-gap-identity"].passed
+
+
+    def test_two_step_check_tests_the_operator(self, monkeypatch):
+        # "auto" would take the closed form at r = 4, which a fault in the
+        # operator cannot reach; the check must run the recursion
+        exact = pushforward._preimages
+
+        def perturbed(t, rr):
+            pair = exact(t, rr)
+            pair[0] *= 1.0 + 1e-9
+            return pair
+
+        assert two_step_uniform_residual() <= 1e-12
+        monkeypatch.setattr(pushforward, "_preimages", perturbed)
+        checks = {c.name: c for c in run_verification(n_samples=2000, grid=256)}
+        assert not checks["two-step-kumaraswamy"].passed
 
 
 class TestPropagationKs:
