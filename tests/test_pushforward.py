@@ -650,11 +650,12 @@ class TestTentClosedForm:
             [0.0, 1.0],
         ]))
         y = np.clip(y, 0.0, 1.0)
-        values = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)(y)
+        it = iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)
+        values = it(y)
         assert values[0] == 0.0 and values[-1] == 1.0
         assert np.all(np.diff(values) >= 0.0)
         assert values.min() >= 0.0 and values.max() <= 1.0
-        assert iterate_pushforward(DistSpec("uniform").cdf(), 4.0, n)(1.0) == 1.0
+        assert it(0.0) == 0.0 and it(1.0) == 1.0
 
     def test_deep_iterates_are_the_arcsine_coordinate(self):
         # D_n - u falls below rounding from n = 28 on; the closed form
