@@ -36,7 +36,6 @@ from .pushforward import (
     preimage_pair,
     pushforward_cdf,
     standard_grid,
-    tabulate,
     validate_map_param,
 )
 from .simulate import (
@@ -80,7 +79,6 @@ __all__ = [
     "sample",
     "standard_grid",
     "sup_distance",
-    "tabulate",
     "trajectory",
     "validate_map_param",
 ]

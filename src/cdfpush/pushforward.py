@@ -32,14 +32,13 @@ __all__ = [
     "preimage_pair",
     "pushforward_cdf",
     "standard_grid",
-    "tabulate",
     "validate_map_param",
 ]
 
 # beyond this depth one exact evaluation costs up to 2**n base evaluations
 # per point (all of them at r = 4; `_pull` prunes at the peak r/4 below it);
 # for any start but the uniform at r = 4, which has its closed form at every
-# depth, `iterates` evaluates depths 0..limit in one traversal, which costs
+# depth, `_plan` evaluates depths 0..limit in one traversal, which costs
 # about twice the deepest one, and the deeper ones from one pass of the grid
 # chain
 EXACT_ITERATION_LIMIT = 12
@@ -51,15 +50,19 @@ EXACT_ITERATION_LIMIT = 12
 # glibc hands such memory back after each subtree and faults it in again
 _LEVEL_BATCH = 2**14
 DEFAULT_GRID_SIZE = 4096
-# rounding slack allowed before a tabulated dip counts as a real failure
+# rounding slack allowed before a dip in a grid table counts as a real failure
 MONOTONICITY_TOLERANCE = 1e-9
 
 
 def validate_map_param(r) -> float:
-    """Check 0 < r <= 4 and return r as a float."""
+    """Check 0 < r <= 4 and return r as a float.
+
+    A subnormal r is rejected too: r/4 rounds to 0 below the smallest
+    normal float, which would put the peak of the map at 0.
+    """
     value = float(r)
-    if not math.isfinite(value) or not 0.0 < value <= 4.0:
-        raise ParameterError(f"map parameter r must satisfy 0 < r <= 4; got {r!r}")
+    if not math.isfinite(value) or not np.finfo(float).tiny <= value <= 4.0:
+        raise ParameterError(f"map parameter r must satisfy 0 < r <= 4 and not be subnormal; got {r!r}")
     return value
 
 
@@ -179,8 +182,11 @@ def pushforward_cdf(F, r) -> Cdf:
 
 
 def _settle(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Settle raw values at the knots `grid` into a CDF table, in place,
-    as `tabulate` documents; the grid chain settles every step."""
+    """Settle raw values at the knots `grid` into a CDF table, in place:
+    a decrease between adjacent knots larger than the rounding slack
+    raises MonotonicityError; otherwise the values are clipped to
+    [0, 1], pinned to 0 and 1 at the ends, and dips within the slack are
+    flattened by a running maximum.  The grid chain settles every step."""
     steps = np.diff(values)
     if float(steps.min()) < -MONOTONICITY_TOLERANCE:
         knot = int(np.argmin(steps))
@@ -195,54 +201,14 @@ def _settle(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return values
 
 
-def tabulate(F, m: int = DEFAULT_GRID_SIZE, support_top: float = 1.0) -> Cdf:
-    """Tabulate a callable CDF on the standard grid of size m, as a `Cdf`.
-
-    The result interpolates the tabulated values piecewise linearly in
-    u = (2/pi)*arcsin(sqrt(y)), the coordinate in which the standard
-    grid is uniform; this keeps the square-root edge behavior of
-    iterated CDFs nearly linear per interval, and it returns the
-    tabulated values exactly at the knots.  Endpoint values are forced
-    to 0 and 1.  A decrease between adjacent knots larger than the
-    rounding slack raises MonotonicityError; dips within the slack are
-    flattened by a running maximum.
-
-    `support_top` < 1 scales the knots into [0, support_top] and appends
-    a final knot at y = 1.  A pushforward at parameter r is flat at 1
-    above r/4 but has a square-root edge there, which the unscaled grid
-    undersamples for r < 4; scaling the knots to the support restores
-    resolution at the edge.
-    """
-    top = float(support_top)
-    if not 0.0 < top <= 1.0:
-        raise ParameterError(f"support_top must lie in (0, 1]; got {support_top!r}")
-    grid = standard_grid(m)
-    if top < 1.0:
-        grid = np.append(top * grid, 1.0)
-    if np.any(np.diff(grid) <= 0.0):
-        # a subnormal support_top rounds neighbouring knots together
-        raise ParameterError("grid must increase strictly from 0 to 1")
-    values = _settle(np.array(F(grid), dtype=float, copy=True), grid)
-    u_knots = _arcsine_kernel(grid)
-
-    def kernel(arr: np.ndarray) -> np.ndarray:
-        return np.interp(_arcsine_kernel(arr), u_knots, values)
-
-    return Cdf(kernel, f"grid[m={int(m)}]({getattr(F, 'provenance', 'callable')})")
-
-
 @dataclass(frozen=True)
 class IterateCdf(Cdf):
     """The n-fold pushforward of a base CDF, realized as a `Cdf`.
 
-    `strategy` records how evaluation happens: "exact" runs the
-    pushforward recursion over the preimage tree (up to 2**n base
-    evaluations per point, batched by levels; at n = 0 the base itself),
-    "grid" interpolates the values that the grid chain holds at the
-    knots of the standard grid after n steps, and "closed-form"
-    evaluates the tent-map closed form of the uniform start at r = 4 (see
-    `_tent_uniform`).  `iterates` evaluates every depth the same ways at
-    once.
+    `strategy` records how `_plan` evaluates it: "exact" (the recursion
+    over the preimage tree; at n = 0 the base itself), "grid" (the grid
+    chain on the standard grid) or "closed-form" (the tent-map closed
+    form of the uniform start at r = 4).
     """
 
     strategy: str
@@ -253,23 +219,6 @@ def _depth(n) -> int:
     if steps < 0:
         raise ParameterError(f"iteration count must be >= 0; got {n!r}")
     return steps
-
-
-def _route(fn, rr: float, n: int) -> tuple[int, str]:
-    """How the "auto" strategy evaluates the depths 0..n of the base
-    kernel fn: the leading `exact` of them exactly, the deeper ones by
-    the strategy `deeper`.
-
-    The uniform start at r = 4 (the kernel of the uniform spec, not a
-    callable that wraps it) has a closed form at every depth from 1 on.
-    Any other base goes exactly through `EXACT_ITERATION_LIMIT`, a
-    leading run since a depth costs at least as much as the one before,
-    and to the grid chain beyond.  This is the one place that decides
-    between the strategies.
-    """
-    if fn is _uniform_kernel and rr == 4.0:
-        return 1, "closed-form"
-    return min(n, EXACT_ITERATION_LIMIT) + 1, "grid"
 
 
 def _tent_coordinate(arr: np.ndarray) -> np.ndarray:
@@ -311,26 +260,93 @@ def _tent_uniform(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _grid_chain(fn, rr: float, grid: np.ndarray, u: np.ndarray):
-    """Yield the settled values at the knots `grid` (arcsine coordinates
-    `u`) of D_0, D_1, D_2, ... of the base kernel fn, without end.
+def _grid_chain(values: np.ndarray, rr: float, grid: np.ndarray, u: np.ndarray):
+    """Yield `values`, the settled table of some D_k at the knots `grid`
+    (arcsine coordinates `u`), then the tables of D_{k+1}, D_{k+2}, ...
+    without end.
 
-    The base is tabulated once, at the first `next`.  Each step then
-    gathers at the arcsine coordinates of both preimages of every knot
-    below the peak, which are computed once here (Ulam's method).  The
-    values are bit for bit those of n-fold re-tabulation,
-    `tabulate(pushforward_cdf(table, r))`.
+    Each step gathers at the arcsine coordinates of both preimages of
+    every knot below the peak (Ulam's method); they are computed once,
+    after the first table is taken, so a chain read for one table costs
+    nothing more.  Each table is the previous one pushed forward one
+    step exactly, evaluated at the knots by interpolation in the
+    arcsine coordinate, and settled by `_settle`.
     """
+    yield values
     below = grid < rr / 4.0
     u_lo, u_hi = (_arcsine_kernel(x) for x in _preimages(grid[below], rr))
-    values = _settle(np.array(fn(grid), dtype=float, copy=True), grid)
     while True:
-        yield values
         pushed = np.ones_like(grid)
         v = np.interp(u_lo, u, values) + 1.0
         v -= np.interp(u_hi, u, values)
         pushed[below] = v
         values = _settle(pushed, grid)
+        yield values
+
+
+def _plan(fn, rr: float, n: int, first: int, strategy: str):
+    """How the depths first..n of the base kernel fn are evaluated, as
+    (the strategy of depth n, a kernel that maps validated points arr to
+    the (n - first + 1,) + arr.shape array of their rows).
+
+    This is the one place that decides between the strategies.  Depth 0
+    is the base itself.  "auto" evaluates the uniform start at r = 4
+    (the kernel of the uniform spec, not a callable that wraps it) by its
+    closed form from depth 1 on, and any other base exactly through
+    `EXACT_ITERATION_LIMIT`, a leading run since a depth costs at least
+    as much as the one before, and by the grid chain beyond.  "exact"
+    and "grid" force the recursion or the grid chain from depth 1 on;
+    "exact" past the limit raises ResourceLimitError instead of
+    attempting a 2**n-fold evaluation.
+
+    The exact rows come from one traversal of `_pull`.  The grid chain
+    on `DEFAULT_GRID_SIZE` intervals tabulates the base once, here, and
+    runs to the first grid row here as well, so an iterate built for one
+    depth holds one table; the kernel steps on from that table, keeping
+    one table at a time.
+    """
+    if strategy not in ("auto", "exact", "grid"):
+        raise ParameterError(f"unknown strategy {strategy!r}")
+    if strategy == "exact" and n > EXACT_ITERATION_LIMIT:
+        raise ResourceLimitError(
+            f"exact recursion for n={n} would need 2**{n} base evaluations "
+            f"per point; the supported depth is {EXACT_ITERATION_LIMIT} (use the grid strategy)"
+        )
+    closed = strategy == "auto" and fn is _uniform_kernel and rr == 4.0
+    # the first depth that is not evaluated exactly
+    split = max(first, 1 if closed or strategy == "grid" else min(n, EXACT_ITERATION_LIMIT) + 1)
+    resolved = "exact" if split > n else "closed-form" if closed else "grid"
+    if resolved == "closed-form":
+
+        def deeper(arr: np.ndarray, out: np.ndarray) -> None:
+            u = _tent_coordinate(arr)
+            for k, row in enumerate(out, split):
+                row[...] = _tent_uniform(u, k)
+
+    elif resolved == "grid":
+        grid = standard_grid(DEFAULT_GRID_SIZE)
+        u = _arcsine_kernel(grid)
+        base = _settle(np.array(fn(grid), dtype=float, copy=True), grid)
+        start = next(islice(_grid_chain(base, rr, grid, u), split, None))
+
+        def deeper(arr: np.ndarray, out: np.ndarray) -> None:
+            # the image of any distribution is supported below the peak
+            mask = arr < rr / 4.0
+            at = _arcsine_kernel(arr[mask])
+            for row, values in zip(out, _grid_chain(start, rr, grid, u)):
+                row[mask] = np.interp(at, u, values)
+
+    def kernel(arr: np.ndarray) -> np.ndarray:
+        if split > n:  # every row exact; at n = 0 `_pull` returns what the base did
+            exact = _pull(fn, rr, n, arr, n + 1 - first)
+            return exact if n else exact.copy()
+        out = np.ones((n + 1 - first,) + arr.shape)
+        if split > first:
+            out[: split - first] = _pull(fn, rr, split - 1, arr, split - first)
+        deeper(arr, out[split - first :])
+        return out
+
+    return resolved, kernel
 
 
 def _as_cdf(F0) -> Cdf:
@@ -342,109 +358,41 @@ def _as_cdf(F0) -> Cdf:
 def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     """Propagate the CDF F0 forward n steps through the map.
 
-    strategy "auto" evaluates the uniform start at r = 4 (the uniform
-    spec's CDF) by its closed form at every depth, recorded as
-    "closed-form"; any other base goes through the exact recursion up to
-    EXACT_ITERATION_LIMIT steps and the grid chain on DEFAULT_GRID_SIZE
-    intervals beyond.  "exact" and "grid" force the recursion or the
-    grid chain for every base; "exact" above the limit raises
-    ResourceLimitError instead of attempting a 2**n-fold evaluation.
-    n = 0 returns the base CDF unchanged, recorded as "exact" whatever
-    the strategy.  n must be an integer; a float or a string raises
-    ParameterError.
-
-    The exact iterate validates its points once and hands them to the
-    kernel `_pull` for one row; its values are bit for bit those of the
-    n-fold composition of `pushforward_cdf`.  The grid strategy
-    tabulates the base once, when the iterate is built, and takes the
-    values after n steps of the grid chain.  To evaluate all
-    of D_0..D_n at the same points, `iterates` shares that work.
+    strategy is "auto", "exact" or "grid", as `_plan` describes; the
+    result records the one it took.  n = 0 returns the base CDF
+    unchanged, recorded as "exact" whatever the strategy.  n must be an
+    integer; a float or a string raises ParameterError.  The exact
+    iterate's values are bit for bit those of the n-fold composition of
+    `pushforward_cdf`; a grid iterate is built with its table.  To
+    evaluate all of D_0..D_n at the same points, `iterates` shares the
+    work.
     """
     rr = validate_map_param(r)
     steps = _depth(n)
-    if strategy not in ("auto", "exact", "grid"):
-        raise ParameterError(f"unknown strategy {strategy!r}")
     base = _as_cdf(F0)
+    resolved, rows = _plan(base.fn, rr, steps, steps, strategy)
     if steps == 0:
         return IterateCdf(base.fn, base.provenance, "exact")
-    exact, deeper = _route(base.fn, rr, steps)
-    resolved = strategy
-    if strategy == "auto":
-        resolved = "exact" if steps < exact else deeper
-    if resolved == "exact" and steps > EXACT_ITERATION_LIMIT:
-        raise ResourceLimitError(
-            f"exact recursion for n={steps} would need 2**{steps} base evaluations "
-            f"per point; the supported depth is {EXACT_ITERATION_LIMIT} (use the grid strategy)"
-        )
-
-    if resolved == "closed-form":
-
-        def kernel(arr: np.ndarray) -> np.ndarray:
-            return _tent_uniform(_tent_coordinate(arr), steps)
-
-        provenance = f"tent-closed-form[r=4,n={steps}]({base.provenance})"
-        return IterateCdf(kernel, provenance, resolved)
-    if resolved == "exact":
-        fn = base.fn
-
-        def kernel(arr: np.ndarray) -> np.ndarray:
-            return _pull(fn, rr, steps, arr)[0]
-
-        provenance = base.provenance
-        for _ in range(steps):
-            provenance = f"pushforward[r={rr:g}]({provenance})"
-        return IterateCdf(kernel, provenance, resolved)
-
-    quarter = rr / 4.0
-    grid = standard_grid(DEFAULT_GRID_SIZE)
-    u = _arcsine_kernel(grid)
-    values = next(islice(_grid_chain(base.fn, rr, grid, u), steps, None))
-
-    def kernel(arr: np.ndarray) -> np.ndarray:
-        # the image of any distribution is supported below the peak
-        out = np.ones_like(arr)
-        mask = arr < quarter
-        if mask.any():
-            out[mask] = np.interp(_arcsine_kernel(arr[mask]), u, values)
-        return out
-
-    provenance = f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]({base.provenance})"
-    return IterateCdf(kernel, provenance, resolved)
+    tag, times = {
+        "exact": (f"pushforward[r={rr:g}]", steps),
+        "grid": (f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]", 1),
+        "closed-form": (f"tent-closed-form[r=4,n={steps}]", 1),
+    }[resolved]
+    provenance = f"{tag}(" * times + base.provenance + ")" * times
+    return IterateCdf(lambda arr: rows(arr)[0], provenance, resolved)
 
 
 def iterates(F0, r, n: int, y) -> np.ndarray:
     """Values at the points y of D_0..D_n, the iterates of the CDF F0
     under the map, as an (n+1, len(y)) array (y is flattened).
 
-    Row k equals `iterate_pushforward(F0, r, k)(y)` bit for bit, but the
-    work is shared.  For the uniform start at r = 4 the tent coordinates
-    of y are computed once and every row from depth 1 on is its closed
-    form.  For any other base the depths that "auto" evaluates exactly
-    come from one traversal of `_pull`, which calls the base once per
-    node of the preimage tree (once per level while the levels are
-    small), and the deeper ones from one pass of the grid chain, which
-    tabulates the base once.  n must be an integer, as for
+    Row k equals `iterate_pushforward(F0, r, k)(y)` bit for bit: both
+    run the plan of `_plan` for "auto", here once for all depths, so the
+    exact rows share one traversal of the preimage tree and the grid
+    rows one pass of the grid chain.  n must be an integer, as for
     `iterate_pushforward`.
     """
     rr = validate_map_param(r)
     steps = _depth(n)
-    fn = _as_cdf(F0).fn
     arr = _as_unit_array(y)[0].ravel()
-    exact, deeper = _route(fn, rr, steps)
-    out = np.ones((steps + 1, arr.size))
-    out[:exact] = _pull(fn, rr, exact - 1, arr, rows=exact)
-    if exact > steps:
-        return out
-    if deeper == "closed-form":
-        u = _tent_coordinate(arr)
-        for k in range(exact, steps + 1):
-            out[k] = _tent_uniform(u, k)
-        return out
-    grid = standard_grid(DEFAULT_GRID_SIZE)
-    u = _arcsine_kernel(grid)
-    mask = arr < rr / 4.0
-    at = _arcsine_kernel(arr[mask])
-    chain = islice(_grid_chain(fn, rr, grid, u), exact, steps + 1)
-    for row, values in zip(out[exact:], chain):
-        row[mask] = np.interp(at, u, values)
-    return out
+    return _plan(_as_cdf(F0).fn, rr, steps, 0, "auto")[1](arr)

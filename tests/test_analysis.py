@@ -17,7 +17,6 @@ from cdfpush import (
     ks_statistic,
     sample,
     sup_distance,
-    tabulate,
 )
 
 U = DistSpec("uniform").cdf()
@@ -139,8 +138,6 @@ class TestKsBracketing:
         assert F.strategy == "grid"
         emp = ensemble_push(DistSpec("uniform"), r, depth, 20_000, 5)
         assert ks_statistic(emp, F) == ks_full(emp, F)
-        T = tabulate(A, 256)
-        assert ks_statistic(emp, T) == ks_full(emp, T)
 
     @pytest.mark.parametrize("r", [4.0, 3.7, 3.5])
     def test_exact_iterates_of_the_uniform(self, r):

@@ -241,6 +241,12 @@ class TestExitCodes:
         code, _, _ = run_cli(["iterate", "--r", "9"], capsys)
         assert code == 2
 
+    def test_subnormal_r_is_a_usage_error(self, capsys):
+        # r/4 rounds to 0: the map would have its peak at 0
+        code, out, err = run_cli(["verify", "--r", "1e-320", "--n", "1000", "--grid", "64"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["bogus"], capsys)
         assert code == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdfpush import DistSpec, run_verification
+from cdfpush import DistSpec, ensemble_push, ks_statistic, run_verification
 from cdfpush import pushforward
 from cdfpush.verify import propagation_ks, two_step_uniform_residual
 
@@ -64,3 +64,12 @@ class TestPropagationKs:
         value, band = propagation_ks(DistSpec("uniform"), 4.0, n=10_000, seed=1)
         assert band == pytest.approx(1.63 / 100.0, rel=1e-12)
         assert 0.0 <= value < band
+
+    @pytest.mark.parametrize("n, seed", [(10_000, 1), (400_000, 17)])
+    def test_reference_is_the_exact_image(self, n, seed):
+        # one step of the uniform at r = 4 is Kumaraswamy(1, 1/2) in closed
+        # form; a tabulated reference sat about 5e-9 from it
+        value, _ = propagation_ks(DistSpec("uniform"), 4.0, n=n, seed=seed)
+        empirical = ensemble_push(DistSpec("uniform"), 4.0, 1, n, seed)
+        closed = ks_statistic(empirical, DistSpec("kumaraswamy", 1.0, 0.5).cdf())
+        assert abs(value - closed) <= 1e-12
