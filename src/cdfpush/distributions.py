@@ -114,9 +114,10 @@ def _uniform_kernel(arr: np.ndarray) -> np.ndarray:
 
 
 def _arcsine_kernel(arr: np.ndarray) -> np.ndarray:
-    """(2/pi)*arcsin(sqrt(y)): the arcsine CDF, and the coordinate in
-    which the standard grid of `pushforward` is uniform."""
-    return (2.0 / np.pi) * np.arcsin(np.sqrt(arr))
+    """u = (2/pi)*arcsin(sqrt(y)), the arcsine CDF and the coordinate of
+    the standard grid and of the tent map at r = 4, as the angle of
+    (sqrt(1 - y), sqrt(y)): arcsin(sqrt(y)) is 2.8e-9 off at 1 - 2**-53."""
+    return (2.0 / np.pi) * np.arctan2(np.sqrt(arr), np.sqrt(1.0 - arr))
 
 
 def _kumaraswamy_kernel(a: float, b: float, arr: np.ndarray) -> np.ndarray:
@@ -526,7 +527,9 @@ class DistSpec:
         elif self.family == "arcsine":
             out = np.sin(0.5 * np.pi * arr) ** 2
         elif self.family == "kumaraswamy":
-            out = (1.0 - (1.0 - arr) ** (1.0 / self.beta)) ** (1.0 / self.alpha)
+            # 1 - (1 - p)**(1/b), without cancelling for small p
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf at p = 1
+                out = (-np.expm1(np.log1p(-arr) / self.beta)) ** (1.0 / self.alpha)
         else:
             out = _beta_quantile(self.alpha, self.beta, arr.ravel()).reshape(arr.shape)
         return _restore(out, scalar)

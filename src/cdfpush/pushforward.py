@@ -163,22 +163,11 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     return out
 
 
-def pushforward_cdf(F, r) -> Cdf:
-    """One exact pushforward of the CDF F through the map with parameter r.
-
-    F may be any callable CDF (closed form, grid, or a previous
-    pushforward); evaluation failures inside F propagate.  The result is
-    exactly 1 for y >= r/4, short-circuited before any floating
-    arithmetic on those points.  This is the n = 1 case of the kernel
-    behind the exact strategy of `iterate_pushforward`.
-    """
-    rr = validate_map_param(r)
-    tag = getattr(F, "provenance", "callable")
-
-    def kernel(arr: np.ndarray) -> np.ndarray:
-        return _pull(F, rr, 1, arr)[0]
-
-    return Cdf(kernel, provenance=f"pushforward[r={rr:g}]({tag})")
+def pushforward_cdf(F, r) -> IterateCdf:
+    """One exact pushforward of the CDF F (any callable CDF; evaluation
+    failures inside F propagate) through the map with parameter r:
+    `iterate_pushforward(F, r, 1, strategy="exact")`."""
+    return iterate_pushforward(F, r, 1, strategy="exact")
 
 
 def _settle(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -221,17 +210,9 @@ def _depth(n) -> int:
     return steps
 
 
-def _tent_coordinate(arr: np.ndarray) -> np.ndarray:
-    """u = (2/pi)*arcsin(sqrt(y)), computed as the angle of the point
-    (sqrt(1 - y), sqrt(y)): arcsin magnifies the rounding of sqrt(y)
-    next to y = 1 (to 2.7e-14 on the knots of `standard_grid(4096)`),
-    while the angle keeps full precision on all of [0, 1]."""
-    return (2.0 / np.pi) * np.arctan2(np.sqrt(arr), np.sqrt(1.0 - arr))
-
-
 def _tent_uniform(u: np.ndarray, n: int) -> np.ndarray:
-    """D_n, n >= 1, of the uniform start at r = 4 at the tent coordinates
-    u of `_tent_coordinate`; may return u itself.
+    """D_n, n >= 1, of the uniform start at r = 4 at the arcsine
+    coordinates u = `_arcsine_kernel(y)`; may return u itself.
 
     y = sin^2(pi*u/2) conjugates the map at r = 4 to the tent map
     (Ulam and von Neumann, Bull. AMS 53, 1947), whose n-th preimage of
@@ -319,7 +300,7 @@ def _plan(fn, rr: float, n: int, first: int, strategy: str):
     if resolved == "closed-form":
 
         def deeper(arr: np.ndarray, out: np.ndarray) -> None:
-            u = _tent_coordinate(arr)
+            u = _arcsine_kernel(arr)
             for k, row in enumerate(out, split):
                 row[...] = _tent_uniform(u, k)
 

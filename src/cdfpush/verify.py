@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fixed_point_residual, ks_band, ks_statistic, sup_distance
-from .distributions import DistSpec, _integer, cdf_beta, sample
+from .distributions import DistSpec, _arcsine_kernel, _integer, cdf_beta, sample
 from .errors import ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
@@ -91,11 +91,12 @@ def beta_arcsine_residual(points: int = IDENTITY_POINTS) -> float:
 
 
 def halfangle_identity_residual(points: int = IDENTITY_POINTS) -> float:
-    """Worst residual of arcsin(sqrt(y)) = 2*arcsin(sqrt(x_lo(y))) over the
-    interior of the unit interval, with x_lo the lower preimage at r = 4."""
+    """Worst residual of u(y) = 2*u(x_lo(y)) over the interior of the unit
+    interval, with u = (2/pi)*arcsin(sqrt(y)) the arcsine coordinate and
+    x_lo the lower preimage at r = 4."""
     grid = standard_grid(points)[1:-1]
     lo, _ = preimage_pair(4.0, grid)
-    return float(np.max(np.abs(np.arcsin(np.sqrt(grid)) - 2.0 * np.arcsin(np.sqrt(lo)))))
+    return float(np.max(np.abs(_arcsine_kernel(grid) - 2.0 * _arcsine_kernel(lo))))
 
 
 def sqrt_gap_identity_residual(points: int = IDENTITY_POINTS) -> float:

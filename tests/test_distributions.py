@@ -7,6 +7,7 @@ Chebyshev series or its continued fraction.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from cdfpush import (
     ks_band,
     ks_statistic,
     sample,
+    standard_grid,
 )
 from cdfpush import distributions
 from cdfpush.distributions import _beta_continued_fraction, _beta_law
@@ -104,6 +106,15 @@ class TestArcsine:
         lo, hi = min(y1, y2), max(y1, y2)
         assert ARCSINE(lo) <= ARCSINE(hi)
 
+    def test_against_mpmath(self):
+        # within two ulps of 1 on both tails and on the standard grid;
+        # (2/pi)*arcsin(sqrt(y)) in floats was 2.8e-9 off at y = 1 - 2**-53
+        k = np.arange(1, 54)
+        y = np.concatenate([1.0 - 2.0**-k, 2.0**-k, standard_grid(4096)])
+        with mpmath.workdps(40):
+            expected = np.array([float(2 / mpmath.pi * mpmath.asin(mpmath.sqrt(mpmath.mpf(v)))) for v in y])
+        assert np.max(np.abs(ARCSINE(y) - expected)) <= 4.5e-16
+
 
 class TestKumaraswamy:
     def test_point_values(self):
@@ -146,6 +157,27 @@ class TestKumaraswamy:
         assert DistSpec("kumaraswamy", 0.5, 0.5).quantile(0.0) == 0.0
         assert DistSpec("kumaraswamy", 1.0, 0.5).quantile(0.5) == pytest.approx(0.75, abs=1e-15)
         assert DistSpec("kumaraswamy", 2.0, 3.0).quantile(1.0) == 1.0
+
+    @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 2.0), (0.25, 0.25), (5.0, 0.3), (1.0, 0.5)])
+    def test_quantile_relative_error_in_both_tails(self, a, b):
+        # (1 - (1 - p)**(1/b))**(1/a) cancels for small p: at (2, 3) it
+        # gave 0 for p = 1e-20, where the quantile is 5.77e-11.  The
+        # reference keeps log1p/expm1 too, since 1 - (1 - p)**(1/b) at 50
+        # digits is itself wrong below p = 1e-50.
+        p = np.concatenate([np.logspace(-300, 0, 301)[:-1], 1.0 - np.logspace(-16, -1, 16)])
+        got = DistSpec("kumaraswamy", a, b).quantile(p)
+        with mpmath.workdps(50):
+            expected = np.array([
+                float((-mpmath.expm1(mpmath.log1p(-mpmath.mpf(v)) / b)) ** (1 / mpmath.mpf(a))) for v in p
+            ])
+        normal = expected >= np.finfo(float).tiny
+        assert np.max(np.abs(got[normal] / expected[normal] - 1.0)) <= 1e-14
+
+    def test_quantile_is_one_at_one_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DistSpec("kumaraswamy", 2.0, 3.0).quantile(1.0) == 1.0
+            assert DistSpec("kumaraswamy", 0.25, 0.25).quantile(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
 
     @given(
         # p close enough to 1 makes the quantile saturate at 1.0 in double

@@ -316,17 +316,22 @@ def _settled(raw):
 NEARLY = Cdf(lambda arr: np.minimum(2.0 * arr, 1.0) + 5e-10 * np.sin(1e3 * arr), "test:nearly")
 
 
+def _arcsine_coordinate(y):
+    """(2/pi)*arcsin(sqrt(y)) as the angle of (sqrt(1 - y), sqrt(y))."""
+    return (2.0 / np.pi) * np.arctan2(np.sqrt(y), np.sqrt(1.0 - y))
+
+
 class _TableCdf:
     """A reference grid interpolant, written out on its own: a table of
     values at the knots, interpolated in the arcsine coordinate."""
 
     def __init__(self, grid, values):
         self.values = values
-        self.u_knots = (2.0 / np.pi) * np.arcsin(np.sqrt(grid))
+        self.u_knots = _arcsine_coordinate(grid)
 
     def __call__(self, y):
         arr = np.asarray(y, dtype=float)
-        return np.interp((2.0 / np.pi) * np.arcsin(np.sqrt(arr)), self.u_knots, self.values)
+        return np.interp(_arcsine_coordinate(arr), self.u_knots, self.values)
 
 
 def _reference_tabulate(F, grid):
@@ -449,6 +454,19 @@ class TestExactKernel:
         expected = np.ones_like(y)
         expected[below] = both[: lo.size] + 1.0 - both[lo.size :]
         assert np.array_equal(pushforward_cdf(F, r)(y), expected)
+
+    @pytest.mark.parametrize("spec", EXACT_STARTS + [None], ids=lambda s: s.label if s else "callable")
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.5, 2.0])
+    def test_one_step_is_the_exact_iterate(self, spec, r):
+        F = spec.cdf() if spec else np.sqrt
+        y = _kernel_grid(r)
+        pushed = pushforward_cdf(F, r)
+        exact = iterate_pushforward(F, r, 1, strategy="exact")
+        assert np.array_equal(pushed(y), exact(y))
+        assert pushed.provenance == exact.provenance
+        assert pushed.strategy == "exact"
+        tag = spec.cdf().provenance if spec else "callable"
+        assert pushed.provenance == f"pushforward[r={r:g}]({tag})"
 
     def test_empty_input(self):
         exact = iterate_pushforward(DistSpec("beta", 2.5, 3.5).cdf(), 3.5, 6, strategy="exact")

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from cdfpush import convergence_table
-from cdfpush.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -22,11 +21,6 @@ def load_script(name):
 @pytest.fixture(scope="module")
 def convergence_scan():
     return load_script("convergence_scan")
-
-
-@pytest.fixture(scope="module")
-def figure_data():
-    return load_script("figure_data")
 
 
 def test_convergence_scan_prints_the_table(convergence_scan, capsys):
@@ -71,10 +65,3 @@ def test_convergence_scan_rejects_bad_parameters(convergence_scan, capsys, bad):
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
 
-
-def test_figure_data_matches_the_cli(figure_data, capsys):
-    assert figure_data.main(["--grid", "64"]) == 0
-    script_out = capsys.readouterr().out
-    assert cli_main(["figure", "--grid", "64"]) == 0
-    assert script_out == capsys.readouterr().out
-    assert script_out.startswith("y,D0,D1,D2,D3,D4,U,K,B\n")
