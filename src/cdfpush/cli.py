@@ -192,8 +192,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
         meta = _meta(args, mode=args.mode, steps=args.steps, burn_in=args.burn_in)
         if run.degenerate_attractor:
+            cycle = f" (a cycle of period {run.period})" if run.period else ""
             print(
-                f"notice: orbit at r={args.r:g} collapsed onto a degenerate attractor; "
+                f"notice: orbit at r={args.r:g} collapsed onto a degenerate attractor{cycle}; "
                 f"the empirical CDF reflects that attractor, not an ergodic average",
                 file=sys.stderr,
             )

@@ -26,9 +26,11 @@ __all__ = [
 ]
 
 DEFAULT_BURN_IN = 1000
-# tail window and span used to detect orbits collapsed onto an attractor
+# tail window and span used to detect orbits collapsed onto an attractor,
+# and the longest period of a cycle that the window is checked for
 DEGENERATE_WINDOW = 100
 DEGENERATE_SPAN = 1e-15
+MAX_CYCLE_PERIOD = 64
 ERGODIC_X0_RANGE = (0.01, 0.99)
 MAX_ERGODIC_RETRIES = 8
 MIN_ERGODIC_STEPS = 10_000
@@ -39,8 +41,10 @@ class Trajectory:
     """Recorded orbit after burn-in.
 
     `degenerate` marks collapsed orbits: absorption at an endpoint, a
-    tail parked on an exact fixed point, or a tail whose spread has
-    fallen below rounding resolution.
+    tail parked on an exact fixed point, a tail whose spread has fallen
+    below rounding resolution, or a tail that repeats itself exactly with
+    a period of at most `MAX_CYCLE_PERIOD`, a stable cycle; `period` is
+    that cycle's period, 0 when the tail repeats with none.
     """
 
     r: float
@@ -48,14 +52,26 @@ class Trajectory:
     burn_in: int
     states: np.ndarray
     degenerate: bool
+    period: int = 0
 
     @property
     def n(self) -> int:
         return int(self.states.size)
 
 
-def _is_degenerate(r: float, states: np.ndarray) -> bool:
-    if np.any(states == 0.0) or np.any(states == 1.0):
+def _cycle_period(states: np.ndarray) -> int:
+    """The least p <= `MAX_CYCLE_PERIOD` with tail[p:] == tail[:-p] on the
+    tail window, or 0.  A chaotic orbit never repeats this way: r = 3.2,
+    3.5 and 3.83 settle on periods 2, 4 and 3, r = 3.7 and 4 on none."""
+    tail = states[-DEGENERATE_WINDOW:]
+    for p in range(1, min(MAX_CYCLE_PERIOD, tail.size - 1) + 1):
+        if np.array_equal(tail[p:], tail[:-p]):
+            return p
+    return 0
+
+
+def _is_degenerate(r: float, states: np.ndarray, period: int) -> bool:
+    if period or np.any(states == 0.0) or np.any(states == 1.0):
         return True
     tail = states[-DEGENERATE_WINDOW:]
     if tail.size >= 2 and float(tail.max() - tail.min()) < DEGENERATE_SPAN:
@@ -84,7 +100,8 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     for i in range(n_record):
         x = rr * x * (1.0 - x)
         view[i] = x
-    return Trajectory(rr, start, n_burn, states, _is_degenerate(rr, states))
+    period = _cycle_period(states)
+    return Trajectory(rr, start, n_burn, states, _is_degenerate(rr, states, period), period)
 
 
 def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) -> DistSpec:
@@ -105,13 +122,15 @@ def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) ->
 
 @dataclass(frozen=True, eq=False)
 class ErgodicRun:
-    """Empirical spec of one long orbit plus degeneracy diagnostics."""
+    """Empirical spec of one long orbit plus degeneracy diagnostics:
+    `period` is that of the cycle the orbit settled on, 0 if none."""
 
     empirical: DistSpec
     r: float
     x0: float
     burn_in: int
     degenerate_attractor: bool
+    period: int = 0
 
 
 def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> ErgodicRun:
@@ -136,7 +155,9 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
         run = trajectory(rr, x0, steps, burn_in)
         if rr == 4.0 and run.degenerate:
             continue
-        return ErgodicRun(DistSpec("empirical", samples=run.states), rr, x0, run.burn_in, run.degenerate)
+        return ErgodicRun(
+            DistSpec("empirical", samples=run.states), rr, x0, run.burn_in, run.degenerate, run.period
+        )
     raise DegenerateOrbitError(
         f"all {MAX_ERGODIC_RETRIES} seeded orbits at r={rr:g} collapsed onto a degenerate set"
     )

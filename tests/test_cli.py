@@ -158,6 +158,19 @@ class TestSimulate:
         assert "# degenerate_attractor = true" in out
         assert "degenerate" in err
 
+    def test_orbit_cycle_notice_names_the_period(self, capsys):
+        # r = 3.83 sits on its stable 3-cycle: flagged, with the period on
+        # stderr and no new key on stdout
+        code, out, err = run_cli(
+            ["simulate", "--r", "3.83", "--steps", "20000", "--grid", "16"], capsys
+        )
+        assert code == 0
+        assert "# degenerate_attractor = true" in out
+        assert "period 3" in err
+        _, out_r4, _ = run_cli(["simulate", "--steps", "20000", "--grid", "16"], capsys)
+        keys = lambda text: [line.split(" = ")[0] for line in text.splitlines() if line.startswith("#")]
+        assert keys(out) == keys(out_r4)
+
     def test_ensemble_mode(self, capsys):
         code, out, _ = run_cli(
             [

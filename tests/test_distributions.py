@@ -12,7 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate, special
 
 from cdfpush import (
@@ -295,6 +295,74 @@ class TestBetaCdf:
         assert np.max(np.abs(cdf_beta(a, b, y) - expected)) <= 1e-12
 
 
+large_shapes = st.floats(min_value=0.05, max_value=1e4)
+# p in the lower tail down to 1e-300, and in the upper tail up to 1 - 2**-53
+tail_probabilities = st.floats(min_value=-300.0, max_value=-0.3).flatmap(
+    lambda e: st.sampled_from([10.0**e, 1.0 - max(10.0**e, 2.0**-53)])
+)
+
+
+def mpmath_cdf(a, b, split, x):
+    """I_x(a, b) at the working precision, from the series of positive
+    terms of DLMF 8.17.8 on the side of the split that x lies on: the
+    series behind mpmath.betainc alternates, and fails to converge at
+    (1e4, 1e4)."""
+
+    def tail(p, q, u):
+        p, q, u = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(u)
+        return u**p * (1 - u) ** q / (p * mpmath.beta(p, q)) * mpmath.hyp2f1(p + q, 1, p + 1, u)
+
+    if x <= split:
+        return tail(a, b, x)
+    return 1 - tail(b, a, 1 - mpmath.mpf(x))
+
+
+class TestLogBeta:
+    """ln B(a, b), which scales the front factor.  lgamma(a) + lgamma(b)
+    - lgamma(a + b) cancels digits once a shape is large: it was 1.6e-12
+    (7 ulps) off at (1000, 1000), 7.4e-12 at (7.9, 9000) and 1.8e-11 at
+    (0.05, 1e4), against 40-digit mpmath."""
+
+    @staticmethod
+    def error(a, b):
+        with mpmath.workdps(40):
+            exact = mpmath.log(mpmath.beta(a, b))
+            return float(abs(_beta_law(a, b).ln_beta - exact) / max(1, abs(exact)))
+
+    @pytest.mark.parametrize(
+        "a, b", [(1000.0, 1000.0), (8.0, 8.0), (8.0, 1e4), (4790.7411155106165, 512.365266581618),
+                 (1e4, 1e4), (0.05, 1e4), (2.5, 1e4), (7.9, 9000.0), (20.0, 30.0)]
+    )
+    def test_against_mpmath(self, a, b):
+        assert self.error(a, b) <= 2e-14
+
+    @pytest.mark.parametrize("a, b", [(1000.0, 1000.0), (8.0, 8.0), (256.06, 36.2), (1e4, 8.0)])
+    def test_within_two_ulps_when_both_shapes_are_large(self, a, b):
+        with mpmath.workdps(40):
+            exact = mpmath.log(mpmath.beta(a, b))
+            assert abs(_beta_law(a, b).ln_beta - exact) <= 2 * np.spacing(abs(float(exact)))
+
+    @given(large_shapes, large_shapes)
+    def test_against_mpmath_when_a_shape_is_large(self, a, b):
+        assume(max(a, b) >= 8.0)
+        assert self.error(a, b) <= 2e-14
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.5, 0.5)])
+    def test_small_shapes_keep_lgamma(self, a, b):
+        # the difference of lgamma values is right to rounding there
+        assert _beta_law(a, b).ln_beta == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        assert self.error(a, b) <= 1e-15
+
+    def test_cdf_in_the_bulk_of_a_large_symmetric_law(self):
+        # 8.6e-13 off with the lgamma difference; what remains is the
+        # rounding of a ln y + b ln(1 - y) in the front factor
+        a = b = 1000.0
+        y = np.linspace(0.45, 0.55, 101)
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.betainc(a, b, 0, v, regularized=True)) for v in y])
+        assert np.max(np.abs(cdf_beta(a, b, y) - exact)) <= 2e-13
+
+
 def allocating_lentz(a, b, x, tol, max_iter):
     """The continued fraction written with one new array per operation:
     the oracle for the in-place loop, which must match it bit for bit."""
@@ -361,6 +429,7 @@ class TestBetaQuantile:
 
     @staticmethod
     def cdf_passes_per_draw(monkeypatch, a, b, n=10_000):
+        _beta_law(a, b).inverse  # built once per (a, b): count the draws
         points = []
         original = distributions._IncompleteBeta.tails
 
@@ -373,12 +442,14 @@ class TestBetaQuantile:
         return sum(points) / n
 
     def test_cdf_passes_per_draw(self, monkeypatch):
-        assert self.cdf_passes_per_draw(monkeypatch, 2.5, 3.5) <= 10
+        # started from the tail power laws, these draws took 4.2 passes each
+        assert self.cdf_passes_per_draw(monkeypatch, 2.5, 3.5) <= 1.2
 
-    @pytest.mark.parametrize("a, b", [(0.05, 5.0), (0.2, 5.0)])
+    @pytest.mark.parametrize("a, b", [(0.05, 5.0), (0.2, 5.0), (5.0, 0.05)])
     def test_cdf_passes_per_draw_on_a_power_law_tail(self, monkeypatch, a, b):
-        # started at x = 1/2, these draws took 26.9 and 14.5 passes each
-        assert self.cdf_passes_per_draw(monkeypatch, a, b) <= 5
+        # started at x = 1/2, the first two took 26.9 and 14.5 passes each;
+        # a table with knots uniform in t left 37 % of (0.05, 5) unfinished
+        assert self.cdf_passes_per_draw(monkeypatch, a, b) <= 1.2
 
     @pytest.mark.parametrize("a, b", [(0.05, 5.0), (0.2, 5.0)])
     def test_relative_error_in_the_lower_tail(self, a, b):
@@ -419,10 +490,52 @@ class TestBetaQuantile:
             spec.quantile(np.array([0.5, float("nan")]))
 
     def test_raises_past_pass_bound(self, monkeypatch):
-        # never an unconverged value: two passes cannot reach 1e-12
-        monkeypatch.setattr(distributions, "_QUANTILE_MAX_PASSES", 2)
+        # never an unconverged value: a start from the table is not
+        # returned before a CDF pass confirms it
+        _beta_law(2.5, 3.5).inverse
+        monkeypatch.setattr(distributions, "_QUANTILE_MAX_PASSES", 0)
         with pytest.raises(ConvergenceError):
             DistSpec("beta", 2.5, 3.5).quantile(np.array([0.1, 0.7]))
+
+    @settings(max_examples=30)
+    @given(large_shapes, large_shapes, st.lists(tail_probabilities, min_size=1, max_size=6))
+    def test_relative_error_in_both_tails_against_mpmath(self, a, b, p):
+        # each x within 1e-12 of the root relative to x (to the smallest
+        # normal float where x is subnormal or 0), in both tails and for
+        # shapes from 0.05 to 1e4: I at 40 digits brackets p between the
+        # two ends of that interval.  The continued fraction that a side
+        # takes when no series fits it is itself ~2e-12 off (see
+        # test_continued_fraction_side_limits_the_quantile), so the shapes
+        # are those whose sides are both series.
+        law = _beta_law(a, b)
+        assume(law.lower.coef is not None and law.upper.coef is not None)
+        p = np.array(p + [1e-300, 1.0 - 2.0**-53])
+        x = DistSpec("beta", a, b).quantile(p)
+        slack = 1e-12 * np.maximum(x, np.finfo(float).tiny)
+        split = _beta_law(a, b).split
+        with mpmath.workdps(40):
+            for pi, lo, hi in zip(p, np.maximum(x - slack, 0.0), np.minimum(x + slack, 1.0)):
+                assert mpmath_cdf(a, b, split, lo) <= pi <= mpmath_cdf(a, b, split, hi)
+
+    @pytest.mark.xfail(strict=True, reason="the continued-fraction side of (0.05, 1e4) is 3.4e-12 off")
+    def test_continued_fraction_side_limits_the_quantile(self):
+        # the upper side of (0.05, 1e4) takes the continued fraction, whose
+        # 1 - I at the draw for p = 0.99 is 3.4e-12 off mpmath even when
+        # run to rounding level; the draw lands 2.5e-12 from its root
+        a, b, p = 0.05, 1e4, 0.99
+        law = _beta_law(a, b)
+        assert law.upper.coef is None
+        x = DistSpec("beta", a, b).quantile(p)
+        slack = 1e-12 * x
+        with mpmath.workdps(40):
+            assert mpmath_cdf(a, b, law.split, x - slack) <= p <= mpmath_cdf(a, b, law.split, x + slack)
+
+    @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES)
+    @given(st.lists(unit_floats, min_size=1, max_size=64), st.data())
+    def test_draw_alone_equals_draw_in_any_batch(self, a, b, batch, data):
+        i = data.draw(st.integers(min_value=0, max_value=len(batch) - 1))
+        spec = DistSpec("beta", a, b)
+        assert np.array_equal(spec.quantile(np.array(batch))[[i]], spec.quantile(np.array([batch[i]])))
 
 
 class TestDistSpec:

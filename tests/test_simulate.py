@@ -79,19 +79,39 @@ class TestTrajectory:
         assert np.array_equal(x[1:], 3.7 * x[:-1] * (1.0 - x[:-1]))
 
     @pytest.mark.parametrize("burn_in", [0, 1000])
-    @pytest.mark.parametrize("r", [4.0, 3.7, 2.0])
+    @pytest.mark.parametrize("r", [4.0, 3.7, 2.0, 3.83])
     def test_states_are_the_plain_loop(self, r, burn_in):
-        for steps in (1, 5000):
-            x = 0.3
+        for x0, steps in [(0.3, 1), (0.3, 5000), (0.01, 5000), (0.77, 5000)]:
+            x = x0
             for _ in range(burn_in):
                 x = r * x * (1.0 - x)
             expected = []
             for _ in range(steps):
                 x = r * x * (1.0 - x)
                 expected.append(x)
-            run = trajectory(r, 0.3, steps, burn_in=burn_in)
+            run = trajectory(r, x0, steps, burn_in=burn_in)
             assert run.states.dtype == np.float64
             assert np.array_equal(run.states, np.array(expected))
+
+    @pytest.mark.parametrize("r, period", [(3.2, 2), (3.5, 4), (3.83, 3)])
+    def test_stable_cycle_flagged(self, r, period):
+        # the orbit settles on the stable cycle and repeats it exactly; its
+        # tail spread stays far above rounding and no state is a fixed point
+        run = trajectory(r, 0.3, 20_000, burn_in=1000)
+        assert run.degenerate and run.period == period
+        tail = run.states[-100:]
+        assert np.unique(tail).size == period
+        assert tail.max() - tail.min() > 0.1
+
+    @pytest.mark.parametrize("r", [3.7, 4.0])
+    def test_chaotic_orbit_has_no_period(self, r):
+        run = trajectory(r, 0.3, 100_000, burn_in=1000)
+        assert not run.degenerate and run.period == 0
+
+    def test_period_is_the_least(self):
+        # a fixed point repeats with every period; it is reported as 1
+        run = trajectory(2.0, 0.3, 1000, burn_in=1000)
+        assert run.period == 1
 
     def test_stable_fixed_point_flagged(self):
         # r=2 contracts onto 1 - 1/r = 1/2
@@ -163,6 +183,12 @@ class TestErgodicEmpirical:
     def test_step_count_validation(self):
         with pytest.raises(ParameterError):
             ergodic_empirical(4.0, 9_999, 100, seed=0)
+
+    @pytest.mark.parametrize("r, period", [(3.2, 2), (3.5, 4), (3.83, 3), (3.7, 0), (4.0, 0)])
+    def test_cycles_are_degenerate_attractors(self, r, period):
+        run = ergodic_empirical(r, 20_000, 1000, seed=0)
+        assert run.degenerate_attractor == bool(period)
+        assert run.period == period
 
 
 class TestEmpiricalCdfType:
