@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import ks_statistic
+from .analysis import ks_band, ks_statistic
 from .distributions import DistSpec, cdf_beta, cdf_kumaraswamy
 from .errors import (
     DegenerateOrbitError,
@@ -164,6 +164,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
+def _atom(x: np.ndarray, share: float):
+    """(value, share) of the largest atom of the sorted samples x if it
+    holds more than `share` of them, else None.  Such a value holds k + 1
+    samples in a row for k = floor(share * x.size), which one shifted
+    compare finds."""
+    k = int(share * x.size)
+    values = x[:-k][x[k:] == x[:-k]]  # np.unique would import numpy.ma, 12 ms
+    if not values.size:
+        return None
+    counts = np.searchsorted(x, values, side="right") - np.searchsorted(x, values, side="left")
+    i = counts.argmax()
+    return float(values[i]), float(counts[i] / x.size)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     grid = standard_grid(args.grid)
     if args.mode == "ensemble":
@@ -177,6 +191,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
         footer = {"ks_statistic": ks_statistic(empirical, reference)}
         meta = _meta(args, mode=args.mode, init=args.init, push_steps=args.push_steps, n=args.n)
+        # an atom of share s puts the KS statistic against a continuous law
+        # at s / 2 or more, so past twice the band it cannot pass
+        band = ks_band(args.n)
+        atom = _atom(empirical.samples, 2.0 * band)
+        if atom:
+            print(
+                f"notice: ensemble at r={args.r:g} collapsed: {atom[1]:.1%} of its samples "
+                f"are exactly {atom[0]:.17g}, which puts the KS statistic past the 99 % band {band:.3g}",
+                file=sys.stderr,
+            )
     else:
         run = ergodic_empirical(args.r, args.steps, args.burn_in, args.seed)
         arcsine = DistSpec("arcsine").cdf()
@@ -191,6 +215,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "degenerate_attractor": run.degenerate_attractor,
         }
         meta = _meta(args, mode=args.mode, steps=args.steps, burn_in=args.burn_in)
+        if args.r != 4.0:
+            print(
+                f"notice: the arcsine column is the invariant law of r=4 only; "
+                f"it is not the law of an orbit at r={args.r:g}",
+                file=sys.stderr,
+            )
         if run.degenerate_attractor:
             cycle = f" (a cycle of period {run.period})" if run.period else ""
             print(

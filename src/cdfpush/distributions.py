@@ -52,10 +52,11 @@ _CHEB_PLATEAU = 2.0**-46
 _QUANTILE_RTOL = 1e-13
 _QUANTILE_MAX_PASSES = 100
 # beta quantile starts: cells per side of the inverse table, the cap on the
-# exponent of its coordinate, and the CDF samples that start its knots
+# exponent of its coordinate, and the CDF samples per side that start and
+# bracket its knots
 _INVERSE_CELLS = 4096
 _INVERSE_MAX_EXPONENT = 8.0
-_INVERSE_SAMPLES = 256
+_INVERSE_SAMPLES = 1024
 
 _PARAMETRIC_FAMILIES = ("beta", "kumaraswamy")
 _CLOSED_FORM_FAMILIES = ("uniform", "arcsine") + _PARAMETRIC_FAMILIES
@@ -374,9 +375,10 @@ class _IncompleteBeta:
 # 0.1-0.15 us a point against the continued fraction, so the fit is
 # repaid once the same (a, b) has met some 10^4 points, as it does within
 # one beta `iterate` or `simulate` command.  The first draw adds the
-# inverse table, about two CDF passes over its 8190 knots: 2-4 ms for
-# (2.5, 3.5), (0.5, 0.5) or (0.05, 5).  With it a draw takes one pass
-# where it took 4.2, which repays the table from about 5000 draws on.
+# inverse table: 2-3 CDF calls over its 2050 samples and 8190 knots, 1.3-1.5
+# points a knot, in 2-4 ms for (2.5, 3.5), (0.5, 0.5) or (0.05, 5).  With
+# it a draw takes one pass where it took 4.2, which repays the table from
+# about 5000 draws on.
 @functools.lru_cache(maxsize=64)
 def _beta_law(a: float, b: float) -> _IncompleteBeta:
     return _IncompleteBeta(a, b)
@@ -450,12 +452,18 @@ def _newton(law: _IncompleteBeta, q, qc, x, lo, hi) -> np.ndarray:
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
 
 
-def _hermite_cells(d: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> list:
-    """The cubic Hermite interpolant through the knots of each row of d,
-    with slopes m0 and m1 at the start and end of each cell (per unit of
-    the cell's coordinate u in [0, 1]), as flat arrays of its coefficients
-    c0..c3 in d = c0 + u (c1 + u (c2 + u c3)) and of the cell's end.  A
+def _inverse_cells(law: _IncompleteBeta, sigma, end, w, t, x, d) -> list:
+    """The cubic Hermite interpolant through the points (w, d) of each row
+    of an `_InverseTable`, as flat arrays of the coefficients c0..c3 of
+    each cell, in d = c0 + u (c1 + u (c2 + u c3)) for the cell's coordinate
+    u in [0, 1], and of the cell's end.  The slope dd/dw at a point is
+    sigma t / (w f(x)), with f the beta density, and `end` at w = 0; a
     slope that is not finite is replaced by the cell's secant."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # and inf * 0 where t underflows
+        m = sigma * t / w * (x * (1.0 - x)) / law.front(x)
+        m[:, :1] = end
+        dw = np.diff(w, axis=-1)
+        m0, m1 = m[:, :-1] * dw, m[:, 1:] * dw
     d0, d1 = d[:, :-1], d[:, 1:]
     secant = d1 - d0
     m0 = np.where(np.isfinite(m0), m0, secant)
@@ -464,7 +472,7 @@ def _hermite_cells(d: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> list:
 
 
 def _hermite(cells: list, j: np.ndarray, u: np.ndarray):
-    """Start, value and end of cell j of `_hermite_cells` at u, the value
+    """Start, value and end of cell j of `_inverse_cells` at u, the value
     held inside the cell."""
     c0, c1, c2, c3, end = (c.take(j) for c in cells)
     d = c3 * u
@@ -501,19 +509,25 @@ class _InverseTable:
     capped at `_INVERSE_MAX_EXPONENT`: for large s, t**(1/s) packs the bulk
     of the side into a few cells next to w = 1.
 
-    The knots are roots found by `_newton`, started from the same kind of
-    interpolant through the CDF at `_INVERSE_SAMPLES` + 1 Chebyshev points
-    of each side.  The slope dd/dw at a point is sigma t / (w f(x)), with f
-    the beta density.
+    The knots are roots found by `_newton` after one CDF pass at
+    `_INVERSE_SAMPLES` + 1 Chebyshev points of each side.  A knot starts
+    from the same kind of interpolant through the samples, inside the two
+    samples around it, which bracket it.
     """
 
     def __init__(self, law: _IncompleteBeta):
-        split = law.split
-        upper_mass = law.tails(np.array([split]))[0][0]  # 1 - I at the split
-        self.lower_mass = 1.0 - upper_mass
-        # one row per side
-        mass = np.array([[self.lower_mass], [upper_mass]])
+        split, cells = law.split, _INVERSE_CELLS
+        # one row per side: the distance d from the side's end to the split
         width = np.array([[split], [1.0 - split]])
+        # The one CDF pass: each side's own tail at its Chebyshev points,
+        # ends included.  The last point of the lower side is x = split,
+        # where the tail read is the upper side's mass.
+        d = width * (0.5 - 0.5 * np.cos(np.pi / _INVERSE_SAMPLES * np.arange(_INVERSE_SAMPLES + 1)))
+        x = d.copy()
+        x[1] = 1.0 - d[1]
+        t = law.tails(x.ravel())[0].reshape(x.shape)
+        self.lower_mass = 1.0 - t[0, -1]
+        mass = np.array([[self.lower_mass], [t[0, -1]]])
         shape = np.array([[law.a], [law.b]])
         sigma = np.minimum(shape, _INVERSE_MAX_EXPONENT)
         self.sigma, self.inv_mass = sigma.ravel(), 1.0 / mass.ravel()
@@ -524,73 +538,34 @@ class _InverseTable:
             None if sg == sh else (1.0 / sh, (math.log(sh) + law.ln_beta) / sh)
             for sg, sh in zip(self.sigma, shape.ravel())
         ]
-        with np.errstate(over="ignore"):
-            end_slope = np.where(
-                sigma == shape, np.exp((np.log(shape) + law.ln_beta + np.log(mass)) / shape), np.inf
-            )
-
-        def evaluate(d):
-            """x at the distances d and the side's tail t there."""
-            x = d.copy()
-            x[1] = 1.0 - d[1]
-            tail, _, upper = law.tails(x.ravel())
-            above = np.zeros(x.size, dtype=bool)
-            above[upper] = True
-            tail = tail.reshape(x.shape)
-            return x, np.where(above.reshape(x.shape) == [[False], [True]], tail, 1.0 - tail)
-
-        def slopes(x, t, w):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = sigma * t / w * (x * (1.0 - x)) / law.front(x)
-            m[:, 0] = end_slope[:, 0]
-            return m
-
-        def interpolant(d, x, t):
-            """The inverse through samples sorted by d, from d = 0 to the split."""
-            t[:, 0], t[:, -1] = 0.0, mass[:, 0]
-            w = (np.maximum.accumulate(t, axis=1) / mass) ** (1.0 / sigma)
-            dw = np.diff(w, axis=1)
-            m = slopes(x, t, w)
-            with np.errstate(invalid="ignore"):  # inf * 0 where samples underflow to w = 0
-                return _hermite_cells(d, m[:, :-1] * dw, m[:, 1:] * dw), w, dw
-
-        def invert(cells, w, dw, at):
-            """(lo, d, hi) of each side at the w of `at`, one row per side."""
-            j = np.stack([np.searchsorted(row, at, side="right") - 1 for row in w])
-            np.clip(j, 0, w.shape[1] - 2, out=j)
-            u = (at - np.take_along_axis(w, j, axis=1)) / np.take_along_axis(dw, j, axis=1)
-            j[1] += w.shape[1] - 1
-            return (v.reshape(2, -1) for v in _hermite(cells, j.ravel(), u.ravel()))
-
-        # The CDF at the Chebyshev points of each side, ends included, and
-        # at the points that their interpolant puts at uniform w, which a
-        # steep side needs: with the first set alone the knots of (0.05, 1e4)
-        # took 3.0 CDF passes each instead of 2.3.
-        d = width * (0.5 - 0.5 * np.cos(np.pi / _INVERSE_SAMPLES * np.arange(_INVERSE_SAMPLES + 1)))
-        x, t = evaluate(d)
-        _, d2, _ = invert(*interpolant(d, x, t), (np.arange(_INVERSE_SAMPLES) + 0.5) / _INVERSE_SAMPLES)
-        x2, t2 = evaluate(d2)
-        order = np.argsort(np.concatenate((d, d2), axis=1), axis=1, kind="stable")
-        d, x, t = (np.take_along_axis(np.concatenate(v, axis=1), order, axis=1) for v in ((d, d2), (x, x2), (t, t2)))
-        # the knots, started from the samples' interpolant in their cells
-        cells = _INVERSE_CELLS
-        wk = np.arange(1, cells) / cells
-        lo, dk, hi = invert(*interpolant(d, x, t), wk)
+        with np.errstate(over="ignore"):  # d / w at w = 0, where sigma is not capped
+            end = np.exp((np.log(shape) + law.ln_beta + np.log(mass)) / shape)
+        end = np.where(sigma == shape, end, np.inf)
+        # Each knot k / cells starts from the interpolant through the samples,
+        # in the cell j of the two samples around it, which bracket it: cell j
+        # holds the knots with ceil(w_j cells) <= k < ceil(w_(j+1) cells).
+        # cells is a power of two, so w cells is exact.
+        t[:, -1] = mass[:, 0]
+        w = (np.minimum(np.maximum.accumulate(t, axis=1), mass) / mass) ** (1.0 / sigma)
+        count = np.diff(np.ceil(w * cells).astype(np.intp), axis=1).ravel()
+        j = np.repeat(np.arange(count.size), count).reshape(2, cells)[:, 1:].ravel()
+        wk = np.arange(cells + 1) / cells
+        u = (np.tile(wk[1:-1], 2) - w[:, :-1].ravel()[j]) / np.diff(w, axis=1).ravel()[j]
+        lo, dk, hi = _hermite(_inverse_cells(law, sigma, end, w, t, x, d), j, u)
         tk = mass * wk**sigma
+        inner = tk[:, 1:-1]
         xk = _newton(
             law,
-            np.concatenate((tk[0], 1.0 - tk[1])),
-            np.concatenate((1.0 - tk[0], tk[1])),
-            *_as_x(lo.ravel(), dk.ravel(), hi.ravel(), np.arange(cells - 1, 2 * cells - 2)),
+            np.concatenate((inner[0], 1.0 - inner[1])),
+            np.concatenate((1.0 - inner[0], inner[1])),
+            *_as_x(lo, dk, hi, np.arange(cells - 1, 2 * cells - 2)),
         ).reshape(2, cells - 1)
-        # the table: knots and slopes at w = 0, 1/cells, ..., 1
-        w = np.concatenate((np.zeros((2, 1)), np.broadcast_to(wk, (2, cells - 1)), np.ones((2, 1))), axis=1)
+        # the table: the knots at w = 0, 1/cells, ..., 1
         x = np.concatenate((x[:, :1], xk, x[:, -1:]), axis=1)
         d = x.copy()
         d[1] = 1.0 - x[1]
         d[:, -1] = width[:, 0]
-        m = slopes(x, mass * w**sigma, w) / cells
-        self.cells = _hermite_cells(d, m[:, :-1], m[:, 1:])
+        self.cells = _inverse_cells(law, sigma, end, wk, tk, x, d)
 
     def start(self, q: np.ndarray, qc: np.ndarray):
         """Start x and bracket [lo, hi] of the root of I_x = q (1 - I_x =

@@ -132,6 +132,13 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     whose values depend on the batch (the continued fraction that an
     extreme beta falls back to) can tell the batches apart.  No array
     that F returned is ever written into.
+
+    The rows share one traversal for memory, not for base work: one call
+    per depth hands the base the same 148 calls and 1,683,283 points for
+    D_0..D_12 of beta(2.5, 3.5) at r = 3.7 on 4097 knots, with the same
+    bytes, but in a fresh process D_0..D_12 of kumaraswamy(2, 3) at r = 4
+    then took 2-3 times the page faults (60k against 128k-175k) and
+    13-60 % more time (2-core Xeon, NumPy 2).
     """
     if n == 0:
         return np.asarray(F(arr), dtype=float)[np.newaxis]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cdfpush import cdf_kumaraswamy
+from cdfpush import cdf_kumaraswamy, cli, ks_band
 from cdfpush.cli import _emit_table, main
 
 
@@ -13,6 +13,10 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def footer_keys(out):
+    return [line.split(" = ")[0] for line in out.splitlines() if line.startswith("#")]
 
 
 class TestIterate:
@@ -168,8 +172,50 @@ class TestSimulate:
         assert "# degenerate_attractor = true" in out
         assert "period 3" in err
         _, out_r4, _ = run_cli(["simulate", "--steps", "20000", "--grid", "16"], capsys)
-        keys = lambda text: [line.split(" = ")[0] for line in text.splitlines() if line.startswith("#")]
-        assert keys(out) == keys(out_r4)
+        assert footer_keys(out) == footer_keys(out_r4)
+
+    def test_orbit_below_r4_notice(self, capsys):
+        # the arcsine column is the invariant law of r = 4 only: at r = 3.7
+        # the orbit scores KS 0.338 against it
+        code, out, err = run_cli(["simulate", "--r", "3.7", "--steps", "20000", "--grid", "16"], capsys)
+        assert code == 0
+        assert "notice:" in err and "arcsine column" in err and "r=3.7" in err
+        _, out_r4, err_r4 = run_cli(["simulate", "--steps", "20000", "--grid", "16"], capsys)
+        assert err_r4 == ""
+        assert footer_keys(out) == footer_keys(out_r4)
+
+    @pytest.mark.parametrize(
+        "argv, atom",
+        [
+            # r = 2 drives the ensemble onto its superstable fixed point 1/2
+            (["--r", "2", "--init", "uniform", "--push-steps", "8"], "63.1% of its samples are exactly 0.5,"),
+            # 17 % of beta(5, 0.05) draws round to 1, which the map sends to 0
+            (["--init", "beta:5,0.05", "--push-steps", "2"], "17.4% of its samples are exactly 0,"),
+        ],
+    )
+    def test_ensemble_collapse_notice(self, capsys, monkeypatch, argv, atom):
+        argv = ["simulate", "--mode", "ensemble", "--n", "2000", "--grid", "16"] + argv
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err.startswith("notice: ensemble") and atom in err
+        assert float(out.splitlines()[-1].split(" = ")[1]) > ks_band(2000)
+        # stdout is what the command writes without the check
+        monkeypatch.setattr(cli, "_atom", lambda x, share: None)
+        assert run_cli(argv, capsys) == (0, out, "")
+
+    def test_no_collapse_notice_on_a_spread_ensemble(self, capsys):
+        # the benchmark's r = 3.7 beta ensemble: its largest atom is far
+        # below twice the KS band
+        code, out, err = run_cli(
+            [
+                "simulate", "--mode", "ensemble", "--r", "3.7", "--init", "beta:2.5,3.5",
+                "--push-steps", "8", "--n", "20000", "--grid", "64",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert err == ""
+        assert float(out.splitlines()[-1].split(" = ")[1]) <= ks_band(20000)
 
     def test_ensemble_mode(self, capsys):
         code, out, _ = run_cli(

@@ -441,6 +441,26 @@ class TestBetaQuantile:
         sample(DistSpec("beta", a, b), n, 2024)
         return sum(points) / n
 
+    @pytest.mark.parametrize(
+        "a, b, calls",
+        [(2.5, 3.5, 4), (0.5, 0.5, 3), (0.05, 5.0, 4), (5.0, 0.2, 3), (20.0, 30.0, 4), (1000.0, 1000.0, 4)],
+    )
+    def test_cdf_calls_per_table_build(self, monkeypatch, a, b, calls):
+        # one pass at the samples, then two or three Newton passes over the
+        # knots, with one call to spare; with a call at the split and a
+        # second pass of samples at uniform w these took 4 to 6 calls
+        law = _beta_law(a, b)
+        count = []
+        original = distributions._IncompleteBeta.tails
+
+        def counting(law, x):
+            count.append(x.size)
+            return original(law, x)
+
+        monkeypatch.setattr(distributions._IncompleteBeta, "tails", counting)
+        distributions._InverseTable(law)
+        assert len(count) <= calls
+
     def test_cdf_passes_per_draw(self, monkeypatch):
         # started from the tail power laws, these draws took 4.2 passes each
         assert self.cdf_passes_per_draw(monkeypatch, 2.5, 3.5) <= 1.2
