@@ -440,8 +440,8 @@ def _newton(law: _IncompleteBeta, q, qc, x, lo, hi) -> np.ndarray:
         below = g < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        density = front / (x * (1.0 - x))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            density = front / (x * (1.0 - x))  # inf at a subnormal root: a step of 0
             newton = g / density
             target = x - newton
             bisect = ~((target >= lo) & (target <= hi) & (np.abs(2.0 * g) <= np.abs(step_old * density)))
@@ -642,7 +642,7 @@ class DistSpec:
             arr = np.sort(np.asarray(self.samples, dtype=float).ravel())
             if arr.size == 0:
                 raise ParameterError("empirical spec needs at least one sample")
-            if not ((arr >= 0.0) & (arr <= 1.0)).all():
+            if not (arr[0] >= 0.0 and arr[-1] <= 1.0):  # np.sort puts NaN last
                 raise ParameterError("empirical samples must lie in [0, 1]")
             object.__setattr__(self, "samples", arr)
         elif self.samples is not None:

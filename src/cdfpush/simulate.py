@@ -8,6 +8,7 @@ long orbit should match the arcsine law.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ MAX_CYCLE_PERIOD = 64
 ERGODIC_X0_RANGE = (0.01, 0.99)
 MAX_ERGODIC_RETRIES = 8
 MIN_ERGODIC_STEPS = 10_000
+# `trajectory` records 16 states per pack_into call.  For 2e6 steps at
+# r = 4 this took 1.68-1.76x less time than one memoryview store per state,
+# blocks of 8 1.54x less, blocks of 32 and 64 1.36-1.59x less; a generator
+# fed to np.fromiter and stores into a list were slower than the plain loop
+# (interleaved medians of 7, 2-core Xeon, Python 3.11, NumPy 2.4).
+_BLOCK = 16
+_PACK16 = struct.Struct(f"{_BLOCK}d")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +79,8 @@ def _cycle_period(states: np.ndarray) -> int:
 
 
 def _is_degenerate(r: float, states: np.ndarray, period: int) -> bool:
-    if period or np.any(states == 0.0) or np.any(states == 1.0):
+    # every state lies in [0, 1], so the endpoints are hit iff the extremes are
+    if period or states.min() == 0.0 or states.max() == 1.0:
         return True
     tail = states[-DEGENERATE_WINDOW:]
     if tail.size >= 2 and float(tail.max() - tail.min()) < DEGENERATE_SPAN:
@@ -81,7 +90,12 @@ def _is_degenerate(r: float, states: np.ndarray, period: int) -> bool:
 
 
 def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
-    """Iterate the map from x0, discard burn_in states, record `steps` more."""
+    """Iterate the map from x0, discard burn_in states, record `steps` more.
+
+    The states are recorded 16 per `struct.pack_into` call, computed in
+    Python floats by the same expression, so they are bit for bit those of
+    the plain loop `x = r * x * (1.0 - x)`.
+    """
     rr = validate_map_param(r)
     start = float(x0)
     if not 0.0 <= start <= 1.0:
@@ -96,10 +110,29 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     for _ in range(n_burn):
         x = rr * x * (1.0 - x)
     states = np.empty(n_record)
-    view = memoryview(states)
-    for i in range(n_record):
+    pack, buf = _PACK16.pack_into, memoryview(states).cast("B")
+    blocks = n_record // _BLOCK
+    for offset in range(0, blocks * _PACK16.size, _PACK16.size):
+        a = rr * x * (1.0 - x)
+        b = rr * a * (1.0 - a)
+        c = rr * b * (1.0 - b)
+        d = rr * c * (1.0 - c)
+        e = rr * d * (1.0 - d)
+        f = rr * e * (1.0 - e)
+        g = rr * f * (1.0 - f)
+        h = rr * g * (1.0 - g)
+        i = rr * h * (1.0 - h)
+        j = rr * i * (1.0 - i)
+        k = rr * j * (1.0 - j)
+        m = rr * k * (1.0 - k)
+        n = rr * m * (1.0 - m)
+        o = rr * n * (1.0 - n)
+        p = rr * o * (1.0 - o)
+        x = rr * p * (1.0 - p)
+        pack(buf, offset, a, b, c, d, e, f, g, h, i, j, k, m, n, o, p, x)
+    for i in range(blocks * _BLOCK, n_record):
         x = rr * x * (1.0 - x)
-        view[i] = x
+        states[i] = x
     period = _cycle_period(states)
     return Trajectory(rr, start, n_burn, states, _is_degenerate(rr, states, period), period)
 

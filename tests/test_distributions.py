@@ -495,6 +495,27 @@ class TestBetaQuantile:
         x = DistSpec("beta", a, b).quantile(p)
         assert np.max(np.abs(x - special.betaincinv(a, b, p))) <= 2e-14
 
+    def test_subnormal_root_without_a_warning(self):
+        # one root of these draws is 4.45e-320, where the density
+        # front / (x (1 - x)) overflows to inf; its Newton step is then 0,
+        # and the draws are those taken with warnings ignored
+        a = b = 0.01
+        p = np.random.default_rng(3).random(2000)
+        spec = DistSpec("beta", a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = spec.quantile(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = spec.quantile(p)
+        assert np.array_equal(x, expected)
+        i = int(np.argmin(x))
+        assert 0.0 < x[i] < np.finfo(float).tiny
+        slack = 1e-12 * np.finfo(float).tiny
+        with mpmath.workdps(40):
+            assert mpmath.betainc(a, b, 0, x[i] - slack, regularized=True) <= p[i]
+            assert p[i] <= mpmath.betainc(a, b, 0, x[i] + slack, regularized=True)
+
     def test_keeps_the_shape_of_its_input(self):
         p = np.array([[0.1, 0.2, 0.0], [0.3, 0.4, 1.0]])
         x = DistSpec("beta", 2.0, 3.0).quantile(p)
@@ -591,6 +612,18 @@ class TestDistSpec:
             DistSpec("empirical", samples=np.array([0.5, 1.5]))
         spec = DistSpec("empirical", samples=np.array([0.8, 0.2, 0.4]))
         assert np.array_equal(spec.samples, [0.2, 0.4, 0.8])
+        spec = DistSpec("empirical", samples=np.array([1.0, 0.5, -0.0]))
+        assert np.array_equal(spec.samples, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1e-300, 1.0 + 2.0**-52, -float("inf"), float("inf")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_empirical_samples_outside_the_interval(self, bad, position):
+        # the check reads the ends of the sorted samples; np.sort puts NaN last
+        samples = np.insert(np.array([0.2, 0.6]), position, bad)
+        with pytest.raises(ParameterError):
+            DistSpec("empirical", samples=samples)
+        with pytest.raises(ParameterError):
+            DistSpec("empirical", samples=np.array([bad]))
 
     def test_labels(self):
         assert DistSpec.parse("beta:0.5,0.5").label == "beta(0.5,0.5)"

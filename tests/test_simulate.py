@@ -81,7 +81,9 @@ class TestTrajectory:
     @pytest.mark.parametrize("burn_in", [0, 1000])
     @pytest.mark.parametrize("r", [4.0, 3.7, 2.0, 3.83])
     def test_states_are_the_plain_loop(self, r, burn_in):
-        for x0, steps in [(0.3, 1), (0.3, 5000), (0.01, 5000), (0.77, 5000)]:
+        # blocks of 16 states, with and without a scalar tail after them
+        block_edges = [(0.3, n) for n in (15, 16, 17, 31, 32, 33, 20_017)]
+        for x0, steps in [(0.3, 1), (0.3, 5000), (0.01, 5000), (0.77, 5000)] + block_edges:
             x = x0
             for _ in range(burn_in):
                 x = r * x * (1.0 - x)
@@ -92,6 +94,15 @@ class TestTrajectory:
             run = trajectory(r, x0, steps, burn_in=burn_in)
             assert run.states.dtype == np.float64
             assert np.array_equal(run.states, np.array(expected))
+
+    @pytest.mark.parametrize("steps", [1, 33])
+    def test_hit_of_one_is_degenerate(self, steps):
+        # 1/2 -> 1 -> 0, which is absorbing: with 33 steps both hits lie in
+        # the first block of 16 states, with 1 step the hit of 1 is the only
+        # state and the scalar tail records it
+        run = trajectory(4.0, 0.5, steps, burn_in=0)
+        assert run.states[0] == 1.0 and np.all(run.states[1:] == 0.0)
+        assert run.degenerate and run.period == 0
 
     @pytest.mark.parametrize("r, period", [(3.2, 2), (3.5, 4), (3.83, 3)])
     def test_stable_cycle_flagged(self, r, period):
