@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import Cdf, _arcsine_kernel, _as_unit_array, _integer, _restore, _uniform_kernel
+from .distributions import _CACHE_BLOCK, Cdf, _arcsine_kernel, _as_unit_array, _integer, _restore, _uniform_kernel
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -42,13 +42,6 @@ __all__ = [
 # about twice the deepest one, and the deeper ones from one pass of the grid
 # chain
 EXACT_ITERATION_LIMIT = 12
-# `_pull` sends both preimage branches of a node down as one array while
-# they hold at most this many points: the up to 13 rows of a batch then take
-# 13 * 2**14 * 8 B = 1.7 MB, inside a 2 MiB L2 cache; a larger batch would
-# save few base calls and leave the cache.  A row of 2**14 points is 128 KiB,
-# glibc's initial mmap threshold: until the process frees a larger array,
-# glibc hands such memory back after each subtree and faults it in again
-_LEVEL_BATCH = 2**14
 DEFAULT_GRID_SIZE = 4096
 # rounding slack allowed before a dip in a grid table counts as a real failure
 MONOTONICITY_TOLERANCE = 1e-9
@@ -121,7 +114,7 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     in [0, 1], so no level checks its domain again.  Each node splits
     its points below the peak r/4 into one preimage pair; points at or
     above the peak are exactly 1 at every depth >= 1.  While the pair
-    holds at most `_LEVEL_BATCH` points, both branches go down as one
+    holds at most `_CACHE_BLOCK` points, both branches go down as one
     array, lower branch first, so a whole level of a small tree costs
     one base call; a larger pair recurses on each branch.  The base is
     called at a node only when depth 0 is one of its rows, so with
@@ -155,7 +148,7 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
             return out
     pair = _preimages(arr if whole else arr[below], rr)
     into = out[1:] if whole and out is not None else None
-    if 2 * inside <= _LEVEL_BATCH:
+    if 2 * inside <= _CACHE_BLOCK:
         both = _pull(F, rr, n - 1, pair.reshape(-1), deeper).reshape((deeper,) + pair.shape)
         v = np.add(both[:, 0], 1.0, out=into)
         v -= both[:, 1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, _integer, sample
+from .distributions import DistSpec, _blocks, _integer, _Owned, sample
 from .errors import DegenerateOrbitError, DomainError, ParameterError
 from .pushforward import validate_map_param
 
@@ -79,8 +79,9 @@ def _cycle_period(states: np.ndarray) -> int:
 
 
 def _is_degenerate(r: float, states: np.ndarray, period: int) -> bool:
-    # every state lies in [0, 1], so the endpoints are hit iff the extremes are
-    if period or states.min() == 0.0 or states.max() == 1.0:
+    # 0 is absorbing and 1 maps to 0, so an orbit that hits an endpoint ends
+    # on 0, a fixed point, or its last state is the hit of 1
+    if period or states[-1] == 1.0:
         return True
     tail = states[-DEGENERATE_WINDOW:]
     if tail.size >= 2 and float(tail.max() - tail.min()) < DEGENERATE_SPAN:
@@ -139,7 +140,12 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
 
 def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) -> DistSpec:
     """Sample the spec, push every point n_steps through the map in
-    lockstep, and return the final ensemble as an empirical spec."""
+    lockstep, and return the final ensemble as an empirical spec.
+
+    The sample is pushed in place, one of its `_blocks` at a time through
+    all the steps, as fl(fl(r x) fl(1 - x)): the roundings of
+    `r * x * (1.0 - x)`.  The spec then sorts the pushed sample in place.
+    """
     rr = validate_map_param(r)
     count = _integer(n_samples, "n_samples")
     if count < 100:
@@ -148,9 +154,16 @@ def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) ->
     if steps < 0:
         raise ParameterError(f"n_steps must be >= 0; got {n_steps!r}")
     x = sample(dist, count, seed)
-    for _ in range(steps):
-        x = rr * x * (1.0 - x)
-    return DistSpec("empirical", samples=x)
+    blocks = _blocks(count)
+    scratch = np.empty(-(-count // len(blocks)))  # the size of the largest block
+    for span in blocks:
+        block = x[span]
+        gap = scratch[:block.size]
+        for _ in range(steps):
+            np.subtract(1.0, block, out=gap)
+            block *= rr
+            block *= gap
+    return DistSpec("empirical", samples=_Owned(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +186,10 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
     degenerate orbit means a measure-zero start, so the draw is retried
     a bounded number of times before DegenerateOrbitError; away from
     r = 4 the attractor itself may be degenerate, so the first orbit is
-    returned with the flag set for the caller to inspect.
+    returned with the flag set for the caller to inspect.  A collapsed
+    orbit is released before the next one is drawn, and the states of the
+    one returned are sorted in place into its empirical spec, so the call
+    holds one array of total_steps states at a time.
     """
     rr = validate_map_param(r)
     steps = _integer(total_steps, "total_steps")
@@ -187,9 +203,10 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
         x0 = low + (high - low) * float(rng.random())
         run = trajectory(rr, x0, steps, burn_in)
         if rr == 4.0 and run.degenerate:
+            del run
             continue
         return ErgodicRun(
-            DistSpec("empirical", samples=run.states), rr, x0, run.burn_in, run.degenerate, run.period
+            DistSpec("empirical", samples=_Owned(run.states)), rr, x0, run.burn_in, run.degenerate, run.period
         )
     raise DegenerateOrbitError(
         f"all {MAX_ERGODIC_RETRIES} seeded orbits at r={rr:g} collapsed onto a degenerate set"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fixed_point_residual, ks_band, ks_statistic, sup_distance
-from .distributions import DistSpec, _arcsine_kernel, _integer, cdf_beta, sample
+from .distributions import DistSpec, _arcsine_kernel, _integer, _Owned, cdf_beta, sample
 from .errors import ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
@@ -129,7 +129,8 @@ def power_transform_ks(
     """
     spec = DistSpec("kumaraswamy", alpha, beta)
     x = sample(spec, n, seed)
-    empirical = DistSpec("empirical", samples=x**alpha)
+    x **= alpha
+    empirical = DistSpec("empirical", samples=_Owned(x))
     target = DistSpec("beta", 1.0, beta).cdf()
     return ks_statistic(empirical, target), ks_band(n, 0.99)
 

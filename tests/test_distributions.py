@@ -578,6 +578,43 @@ class TestBetaQuantile:
         spec = DistSpec("beta", a, b)
         assert np.array_equal(spec.quantile(np.array(batch))[[i]], spec.quantile(np.array([batch[i]])))
 
+    @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES)
+    def test_blocks_do_not_move_a_draw(self, monkeypatch, a, b):
+        # the same bits whole, in blocks, and in arbitrary splits, with one
+        # block and with several
+        law = _beta_law(a, b)
+        assert law.lower.coef is not None and law.upper.coef is not None
+        spec = DistSpec("beta", a, b)
+        block = distributions._CACHE_BLOCK
+        rng = np.random.default_rng(19)
+        ps = [rng.random(n) for n in (1, block - 1, block, block + 1, 3 * block // 2 + 1, 100_000)]
+        draws = [spec.quantile(p) for p in ps]
+        for p, x in zip(ps, draws):
+            cuts = np.sort(rng.integers(0, p.size + 1, 3))
+            assert np.array_equal(np.concatenate([spec.quantile(part) for part in np.split(p, cuts)]), x)
+        monkeypatch.setattr(distributions, "_CACHE_BLOCK", 2**30)
+        for p, x in zip(ps, draws):
+            assert np.array_equal(spec.quantile(p), x)
+
+    def test_blocks_leave_no_short_remainder(self):
+        # 2e4 draws as 16384 + 3616 points took 10 % longer than as one block
+        block = distributions._CACHE_BLOCK
+        for n in (0, 1, 20_000, block, 3 * block // 2 + 1, 100_000, 400_000):
+            spans = distributions._blocks(n)
+            assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
+            assert spans[-1].stop == n
+            sizes = [s.stop - s.start for s in spans]
+            assert max(sizes) - min(sizes) <= 1
+            if n >= 0.75 * block:
+                assert 0.75 * block <= min(sizes) and max(sizes) <= 1.5 * block
+
+    def test_draws_hold_few_arrays(self, traced_peak):
+        # whole, 4e5 draws held 24 sample-sized temporaries at once
+        n = 400_000
+        spec = DistSpec("beta", 2.5, 3.5)
+        _beta_law(2.5, 3.5).inverse
+        assert traced_peak(lambda: sample(spec, n, 5)) <= 8 * (8 * n)
+
 
 class TestDistSpec:
     def test_parse_families(self):
@@ -614,6 +651,14 @@ class TestDistSpec:
         assert np.array_equal(spec.samples, [0.2, 0.4, 0.8])
         spec = DistSpec("empirical", samples=np.array([1.0, 0.5, -0.0]))
         assert np.array_equal(spec.samples, [0.0, 0.5, 1.0])
+
+    def test_empirical_samples_are_copied(self):
+        a = np.array([0.8, 0.2, 0.4, 0.6])
+        spec = DistSpec("empirical", samples=a)
+        assert np.array_equal(a, [0.8, 0.2, 0.4, 0.6])
+        assert not np.shares_memory(spec.samples, a)
+        ordered = np.sort(a)
+        assert not np.shares_memory(DistSpec("empirical", samples=ordered).samples, ordered)
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e-300, 1.0 + 2.0**-52, -float("inf"), float("inf")])
     @pytest.mark.parametrize("position", [0, 1, 2])

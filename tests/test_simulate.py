@@ -15,6 +15,8 @@ from cdfpush import (
     sample,
     trajectory,
 )
+from cdfpush.distributions import _CACHE_BLOCK
+from cdfpush.simulate import DEGENERATE_SPAN, DEGENERATE_WINDOW, ERGODIC_X0_RANGE
 
 map_params = st.floats(min_value=0.1, max_value=4.0)
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -104,6 +106,35 @@ class TestTrajectory:
         assert run.states[0] == 1.0 and np.all(run.states[1:] == 0.0)
         assert run.degenerate and run.period == 0
 
+    @staticmethod
+    def degenerate_by_extremes(r, states, period):
+        # the flag as it was computed from a full read of the orbit
+        tail = states[-DEGENERATE_WINDOW:]
+        last = float(states[-1])
+        return bool(
+            period
+            or states.min() == 0.0
+            or states.max() == 1.0
+            or (tail.size >= 2 and float(tail.max() - tail.min()) < DEGENERATE_SPAN)
+            or r * last * (1.0 - last) == last
+        )
+
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    @pytest.mark.parametrize("r", [4.0, 3.7, 3.83])
+    def test_last_state_detects_endpoint_hits(self, r, burn_in):
+        # 0 is absorbing and 1 maps to 0: the last state tells the flag that
+        # the extremes of the whole orbit told
+        for x0 in (0.5, 0.75, 0.3):
+            for steps in (1, 2, 17, 33, 20_017):
+                run = trajectory(r, x0, steps, burn_in=burn_in)
+                assert run.degenerate == self.degenerate_by_extremes(r, run.states, run.period)
+
+    def test_states_stay_in_time_order(self):
+        run = trajectory(4.0, 0.3, 20_017)
+        x = run.states
+        assert np.array_equal(x[1:], 4.0 * x[:-1] * (1.0 - x[:-1]))
+        assert np.any(np.diff(x) < 0.0)
+
     @pytest.mark.parametrize("r, period", [(3.2, 2), (3.5, 4), (3.83, 3)])
     def test_stable_cycle_flagged(self, r, period):
         # the orbit settles on the stable cycle and repeats it exactly; its
@@ -158,6 +189,31 @@ class TestEnsemblePush:
         K = DistSpec("kumaraswamy", 0.5, 0.5).cdf()
         assert ks_statistic(emp, K) < ks_band(100_000, 0.99)
 
+    @pytest.mark.parametrize("r", [4.0, 3.7])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistSpec("uniform"),
+            DistSpec("beta", 2.5, 3.5),
+            DistSpec("kumaraswamy", 2.0, 3.0),
+            DistSpec("empirical", samples=np.linspace(0.0, 1.0, 101)),
+        ],
+        ids=lambda s: s.label,
+    )
+    def test_blocked_push_is_the_plain_loop(self, spec, r):
+        # in place and in blocks, with the roundings of r * x * (1.0 - x)
+        for n in (100, _CACHE_BLOCK - 1, _CACHE_BLOCK, _CACHE_BLOCK + 1, 3 * _CACHE_BLOCK // 2 + 1, 100_000):
+            x = sample(spec, n, 11)
+            for _ in range(3):
+                x = r * x * (1.0 - x)
+            assert np.array_equal(ensemble_push(spec, r, 3, n, 11).samples, np.sort(x))
+
+    def test_push_holds_few_arrays(self, traced_peak):
+        # out of place, with a sorted copy, this held 3.0 arrays of the sample
+        n = 300_000
+        spec = DistSpec("uniform")
+        assert traced_peak(lambda: ensemble_push(spec, 4.0, 4, n, 2)) <= 2.5 * (8 * n)
+
     def test_sample_count_validation(self):
         with pytest.raises(ParameterError):
             ensemble_push(DistSpec("uniform"), 4.0, 1, 99, 0)
@@ -194,6 +250,23 @@ class TestErgodicEmpirical:
     def test_step_count_validation(self):
         with pytest.raises(ParameterError):
             ergodic_empirical(4.0, 9_999, 100, seed=0)
+
+    def test_samples_are_the_sorted_orbit(self):
+        run = ergodic_empirical(3.7, 20_017, 100, seed=4)
+        states = trajectory(3.7, run.x0, 20_017, burn_in=100).states
+        assert np.array_equal(run.empirical.samples, np.sort(states))
+
+    def test_retry_releases_the_collapsed_orbit(self, traced_peak):
+        # the orbit from the first start of seed 3 falls onto 0 within its
+        # 2e6 steps, so the run is retried; holding the collapsed orbit
+        # while the retry ran peaked at two orbits
+        steps = 2_000_000
+        low, high = ERGODIC_X0_RANGE
+        first = low + (high - low) * np.random.default_rng(3).random()
+        runs = []
+        peak = traced_peak(lambda: runs.append(ergodic_empirical(4.0, steps, 1000, seed=3)))
+        assert runs[0].x0 != first and not runs[0].degenerate_attractor
+        assert peak <= 1.25 * (8 * steps)
 
     @pytest.mark.parametrize("r, period", [(3.2, 2), (3.5, 4), (3.83, 3), (3.7, 0), (4.0, 0)])
     def test_cycles_are_degenerate_attractors(self, r, period):

@@ -1,10 +1,12 @@
 """The shared verification battery."""
 
+import tracemalloc
+
 import pytest
 
 from cdfpush import DistSpec, ensemble_push, ks_statistic, run_verification
-from cdfpush import pushforward
-from cdfpush.verify import propagation_ks, two_step_uniform_residual
+from cdfpush import pushforward, verify
+from cdfpush.verify import power_transform_ks, propagation_ks, two_step_uniform_residual
 
 
 class TestRunVerification:
@@ -73,3 +75,27 @@ class TestPropagationKs:
         empirical = ensemble_push(DistSpec("uniform"), 4.0, 1, n, seed)
         closed = ks_statistic(empirical, DistSpec("kumaraswamy", 1.0, 0.5).cdf())
         assert abs(value - closed) <= 1e-12
+
+
+class TestPowerTransformKs:
+    def test_holds_no_second_sorted_copy(self, monkeypatch):
+        # the transformed sample is sorted in place into the empirical spec:
+        # while the KS statistic runs, the call holds one array of n
+        # samples, where sorting a copy held two
+        n = 400_000
+        held = []
+        statistic = verify.ks_statistic
+
+        def measuring(empirical, F):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return statistic(empirical, F)
+
+        monkeypatch.setattr(verify, "ks_statistic", measuring)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            value, band = power_transform_ks(n=n, seed=4)
+        finally:
+            tracemalloc.stop()
+        assert held[0] <= 1.25 * (8 * n)
+        assert value < band
