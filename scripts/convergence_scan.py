@@ -9,18 +9,18 @@ Usage:
     python3 scripts/convergence_scan.py --n-max 12 --out convergence.csv
 
 The table goes through the writer of `cdfpush` (floats at `%.17g`), with
-`r` and `grid` as its CSV footer and its JSON meta. A bad parameter or an
-unwritable `--out` prints one `error:` line to stderr and exits 2, the
-usage-error code of `cdfpush`.
+`r` and `grid` as its CSV footer and its JSON meta. Errors exit as those
+of `cdfpush` do: a bad parameter or an unwritable `--out` prints one
+`error:` line to stderr and exits 2, a numerical-integrity failure one
+`numerical integrity failure:` line and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 
-from cdfpush import DomainError, ParameterError, convergence_table
-from cdfpush.cli import EXIT_OK, EXIT_USAGE, _emit_table
+from cdfpush import convergence_table
+from cdfpush.cli import EXIT_OK, _emit_table, _exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,13 +37,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="output path (default: stdout)")
     args = parser.parse_args(argv)
 
-    try:
+    def run() -> int:
         columns = convergence_table(args.n_max, m=args.grid, r=args.r)
         _emit_table(columns, {}, {"r": args.r, "grid": args.grid}, args.format, args.out)
-    except (ParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        return EXIT_OK
+
+    return _exit_code(run)
 
 
 if __name__ == "__main__":

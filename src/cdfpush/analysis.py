@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .distributions import DistSpec, _integer
+from .distributions import DistSpec, _count
 from .errors import ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
@@ -32,9 +32,7 @@ _KS_STRIDE = 16
 
 def ks_band(n: int, confidence: float = 0.99) -> float:
     """Asymptotic KS acceptance threshold c(confidence)/sqrt(n)."""
-    count = _integer(n, "sample count")
-    if count < 1:
-        raise ParameterError(f"sample count must be >= 1; got {n!r}")
+    count = _count(n, "sample count", 1)
     try:
         scale = _KS_CRITICAL[float(confidence)]
     except KeyError:
@@ -123,8 +121,7 @@ def convergence_table(n_max: int, m: int = 1024, r: float = 4.0) -> dict[str, np
     the arcsine law stays right at any n_max: it falls as
     pi^2/(9*sqrt(3))*4**-n until it reaches rounding level.
     """
-    if _integer(n_max, "n_max") < 2:
-        raise ParameterError(f"n_max must be >= 2; got {n_max!r}")
+    _count(n_max, "n_max", 2)
     uniform = DistSpec("uniform").cdf()
     grid = standard_grid(m)
     references = [

@@ -132,8 +132,6 @@ def _iterate_columns(args: argparse.Namespace, steps: int) -> dict[str, np.ndarr
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
-    if args.steps < 0:
-        raise ParameterError(f"--steps must be >= 0; got {args.steps}")
     columns = _iterate_columns(args, args.steps)
     _emit_table(columns, _meta(args, init=args.init, steps=args.steps), {}, args.fmt, args.out)
     return EXIT_OK
@@ -283,20 +281,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _exit_code(run) -> int:
+    """The exit code of run(), a command: a usage error (`ParameterError`,
+    `DomainError`) prints one `error:` line to stderr and gives 2, a
+    numerical-integrity failure (`NumericsError`, `DegenerateOrbitError`,
+    `ResourceLimitError`) one `numerical integrity failure:` line and 3."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return _DISPATCH[args.command](args)
+        return run()
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, DegenerateOrbitError, ResourceLimitError) as exc:
         print(f"numerical integrity failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    return _exit_code(lambda: _DISPATCH[args.command](args))
 
 
 if __name__ == "__main__":

@@ -92,13 +92,17 @@ def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
-def _integer(value, name: str) -> int:
-    """A count or size as an int: Python and NumPy integers pass, anything
-    else (a float, a string) raises instead of being truncated."""
+def _count(value, name: str, least: int) -> int:
+    """A count or size as an int of at least `least`: Python and NumPy
+    integers pass; anything else (a float, a string) raises instead of
+    being truncated, and so does a count below `least`."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer; got {value!r}") from None
+    if count < least:
+        raise ParameterError(f"{name} must be >= {least}; got {value!r}")
+    return count
 
 
 def _blocks(n: int) -> list[slice]:
@@ -771,17 +775,29 @@ class DistSpec:
         if self.family == "empirical":
             raise ParameterError("empirical specs are sampled by bootstrap, not by quantile")
         arr, scalar = _as_unit_array(p, "p")
-        if self.family == "uniform":
-            out = arr.copy()
-        elif self.family == "arcsine":
-            out = np.sin(0.5 * np.pi * arr) ** 2
+        return _restore(self._invert(arr.copy()), scalar)
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """The quantiles of a closed-form family at the probabilities u, a
+        float array in [0, 1] that the caller gives up: all but the beta
+        law overwrite u and return it."""
+        if self.family == "arcsine":
+            u *= 0.5 * np.pi
+            np.sin(u, out=u)
+            u **= 2
         elif self.family == "kumaraswamy":
-            # 1 - (1 - p)**(1/b), without cancelling for small p
+            # 1 - (1 - p)**(1/b), without cancelling for small p; the in-place
+            # power takes NumPy's scalar-power path, as `**` does
+            np.negative(u, out=u)
             with np.errstate(divide="ignore"):  # log1p(-1) = -inf at p = 1
-                out = (-np.expm1(np.log1p(-arr) / self.beta)) ** (1.0 / self.alpha)
-        else:
-            out = _beta_quantile(self.alpha, self.beta, arr.ravel()).reshape(arr.shape)
-        return _restore(out, scalar)
+                np.log1p(u, out=u)
+            u /= self.beta
+            np.expm1(u, out=u)
+            np.negative(u, out=u)
+            u **= 1.0 / self.alpha
+        elif self.family == "beta":
+            u = _beta_quantile(self.alpha, self.beta, u.ravel()).reshape(u.shape)
+        return u
 
 
 def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
@@ -790,12 +806,9 @@ def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
     Closed-form families use inversion of uniform draws; empirical specs
     bootstrap (resample with replacement from the stored samples).
     """
-    count = _integer(n, "sample count")
-    if count < 1:
-        raise ParameterError(f"sample count must be >= 1; got {n!r}")
+    count = _count(n, "sample count", 1)
     rng = np.random.default_rng(seed)
     if dist.family == "empirical":
         idx = rng.integers(0, dist.samples.size, size=count)
         return dist.samples[idx]
-    u = rng.random(count)
-    return np.asarray(dist.quantile(u), dtype=float)
+    return dist._invert(rng.random(count))

@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import _CACHE_BLOCK, Cdf, _arcsine_kernel, _as_unit_array, _integer, _restore, _uniform_kernel
+from .distributions import _CACHE_BLOCK, Cdf, _arcsine_kernel, _as_unit_array, _count, _restore, _uniform_kernel
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -65,9 +65,7 @@ def standard_grid(m: int) -> np.ndarray:
     Knots are uniform in the arcsine coordinate, clustering near both
     endpoints where iterated CDFs have square-root behavior.
     """
-    size = _integer(m, "grid size")
-    if size < 2:
-        raise ParameterError(f"grid size must be >= 2; got {m!r}")
+    size = _count(m, "grid size", 2)
     i = np.arange(size + 1)
     grid = np.sin(0.5 * np.pi * i / size) ** 2
     grid[0] = 0.0
@@ -201,13 +199,6 @@ class IterateCdf(Cdf):
     """
 
     strategy: str
-
-
-def _depth(n) -> int:
-    steps = _integer(n, "iteration count")
-    if steps < 0:
-        raise ParameterError(f"iteration count must be >= 0; got {n!r}")
-    return steps
 
 
 def _tent_uniform(u: np.ndarray, n: int) -> np.ndarray:
@@ -349,7 +340,7 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     work.
     """
     rr = validate_map_param(r)
-    steps = _depth(n)
+    steps = _count(n, "iteration count", 0)
     base = _as_cdf(F0)
     resolved, rows = _plan(base.fn, rr, steps, steps, strategy)
     if steps == 0:
@@ -374,6 +365,6 @@ def iterates(F0, r, n: int, y) -> np.ndarray:
     `iterate_pushforward`.
     """
     rr = validate_map_param(r)
-    steps = _depth(n)
+    steps = _count(n, "iteration count", 0)
     arr = _as_unit_array(y)[0].ravel()
     return _plan(_as_cdf(F0).fn, rr, steps, 0, "auto")[1](arr)

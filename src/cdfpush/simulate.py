@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, _blocks, _integer, _Owned, sample
-from .errors import DegenerateOrbitError, DomainError, ParameterError
+from .distributions import DistSpec, _blocks, _count, _Owned, sample
+from .errors import DegenerateOrbitError, DomainError
 from .pushforward import validate_map_param
 
 __all__ = [
@@ -34,6 +34,9 @@ DEGENERATE_SPAN = 1e-15
 MAX_CYCLE_PERIOD = 64
 ERGODIC_X0_RANGE = (0.01, 0.99)
 MAX_ERGODIC_RETRIES = 8
+# the fewest samples of an ensemble and states of an orbit that make a
+# usable empirical CDF
+MIN_ENSEMBLE_SAMPLES = 100
 MIN_ERGODIC_STEPS = 10_000
 # `trajectory` records 16 states per pack_into call.  For 2e6 steps at
 # r = 4 this took 1.68-1.76x less time than one memoryview store per state,
@@ -101,12 +104,8 @@ def trajectory(r, x0, steps, burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     start = float(x0)
     if not 0.0 <= start <= 1.0:
         raise DomainError(f"x0 must lie in [0, 1]; got {x0!r}")
-    n_record = _integer(steps, "steps")
-    if n_record < 1:
-        raise ParameterError(f"steps must be >= 1; got {steps!r}")
-    n_burn = _integer(burn_in, "burn_in")
-    if n_burn < 0:
-        raise ParameterError(f"burn_in must be >= 0; got {burn_in!r}")
+    n_record = _count(steps, "steps", 1)
+    n_burn = _count(burn_in, "burn_in", 0)
     x = start
     for _ in range(n_burn):
         x = rr * x * (1.0 - x)
@@ -147,12 +146,8 @@ def ensemble_push(dist: DistSpec, r, n_steps: int, n_samples: int, seed: int) ->
     `r * x * (1.0 - x)`.  The spec then sorts the pushed sample in place.
     """
     rr = validate_map_param(r)
-    count = _integer(n_samples, "n_samples")
-    if count < 100:
-        raise ParameterError(f"n_samples must be >= 100; got {n_samples!r}")
-    steps = _integer(n_steps, "n_steps")
-    if steps < 0:
-        raise ParameterError(f"n_steps must be >= 0; got {n_steps!r}")
+    count = _count(n_samples, "n_samples", MIN_ENSEMBLE_SAMPLES)
+    steps = _count(n_steps, "n_steps", 0)
     x = sample(dist, count, seed)
     blocks = _blocks(count)
     scratch = np.empty(-(-count // len(blocks)))  # the size of the largest block
@@ -192,11 +187,7 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
     holds one array of total_steps states at a time.
     """
     rr = validate_map_param(r)
-    steps = _integer(total_steps, "total_steps")
-    if steps < MIN_ERGODIC_STEPS:
-        raise ParameterError(
-            f"total_steps must be >= {MIN_ERGODIC_STEPS} for a usable empirical CDF; got {total_steps!r}"
-        )
+    steps = _count(total_steps, "total_steps", MIN_ERGODIC_STEPS)
     rng = np.random.default_rng(seed)
     low, high = ERGODIC_X0_RANGE
     for _ in range(MAX_ERGODIC_RETRIES):

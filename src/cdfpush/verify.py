@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fixed_point_residual, ks_band, ks_statistic, sup_distance
-from .distributions import DistSpec, _arcsine_kernel, _integer, _Owned, cdf_beta, sample
-from .errors import ParameterError
+from .distributions import DistSpec, _arcsine_kernel, _count, _Owned, cdf_beta, sample
 from .pushforward import (
     DEFAULT_GRID_SIZE,
     iterate_pushforward,
@@ -21,7 +20,7 @@ from .pushforward import (
     pushforward_cdf,
     standard_grid,
 )
-from .simulate import ensemble_push
+from .simulate import MIN_ENSEMBLE_SAMPLES, ensemble_push
 
 __all__ = [
     "CheckResult",
@@ -147,8 +146,7 @@ def run_verification(
     with another r deliberately reports them as failed.  The Monte Carlo
     items compare pushed ensembles against the operator at the given r.
     """
-    if _integer(n_samples, "n_samples") < 100:
-        raise ParameterError(f"n_samples must be >= 100; got {n_samples!r}")
+    _count(n_samples, "n_samples", MIN_ENSEMBLE_SAMPLES)
     checks = [
         _check("one-step-closed-form", one_step_uniform_residual(r, grid), ONE_STEP_TOL),
         _check("two-step-kumaraswamy", two_step_uniform_residual(r, grid), TWO_STEP_TOL),

@@ -68,6 +68,13 @@ class TestKsStatistic:
     def test_single_sample(self):
         assert ks_statistic(DistSpec("empirical", samples=np.array([0.5])), U) == 0.5
 
+    @pytest.mark.xfail(strict=True, reason="d_minus takes F(x) where a CDF with atoms needs F(x-)")
+    def test_zero_against_its_own_atoms(self):
+        # a sample scored against its own empirical law fits it exactly; this
+        # reads 0.5
+        spec = DistSpec("empirical", samples=np.array([0.2, 0.7]))
+        assert ks_statistic(spec, spec.cdf()) == 0.0
+
     def test_rejects_a_spec_without_samples(self):
         with pytest.raises(ParameterError):
             ks_statistic(DistSpec("uniform"), U)

@@ -293,8 +293,9 @@ class TestExitCodes:
         assert "error:" in err
 
     def test_negative_steps(self, capsys):
-        code, _, _ = run_cli(["iterate", "--steps", "-1"], capsys)
+        code, out, err = run_cli(["iterate", "--steps", "-1"], capsys)
         assert code == 2
+        assert out == "" and err == "error: iteration count must be >= 0; got -1\n"
 
     def test_bad_r(self, capsys):
         code, _, _ = run_cli(["iterate", "--r", "9"], capsys)

@@ -761,6 +761,23 @@ class TestSample:
         ks = ks_statistic(DistSpec("empirical", samples=x**0.5), DistSpec("beta", 1.0, 2.0).cdf())
         assert ks < ks_band(n, 0.99)
 
+    @pytest.mark.parametrize("spec", [DistSpec("uniform"), DistSpec("kumaraswamy", 2.0, 3.0)],
+                             ids=["uniform", "kumaraswamy"])
+    def test_closed_form_draws_are_inverted_in_place(self, traced_peak, spec):
+        # the uniform draws become the sample: a copy of them held 2 arrays
+        # of n doubles, and the Kumaraswamy quantile's temporaries 3
+        n = 400_000
+        sample(spec, 10, 5)
+        assert traced_peak(lambda: sample(spec, n, 5)) <= 1.5 * (8 * n)
+
+    @pytest.mark.parametrize("spec", [DistSpec("uniform"), DistSpec("arcsine"), DistSpec("kumaraswamy", 2.0, 3.0),
+                                      DistSpec("beta", 2.5, 3.5)], ids=lambda s: s.label)
+    def test_quantile_leaves_its_argument_alone(self, spec):
+        # the draws of `sample` are inverted in place; the caller's p is not
+        p = np.linspace(0.0, 1.0, 11)
+        spec.quantile(p)
+        assert np.array_equal(p, np.linspace(0.0, 1.0, 11))
+
 
 class TestCdfWrapper:
     def test_scalar_and_array(self):

@@ -7,6 +7,7 @@ against each other.
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -36,6 +37,7 @@ from cdfpush import (
     trajectory,
     validate_map_param,
 )
+from cdfpush import cli
 
 map_params = st.floats(min_value=0.1, max_value=4.0)
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -141,6 +143,16 @@ class TestPushforward:
         y = standard_grid(4096)
         pushed = pushforward_cdf(DistSpec("beta", a, a).cdf(), 4.0)(y)
         assert np.max(np.abs(pushed - DistSpec("beta", a, 0.5).cdf()(y))) <= 1e-13
+
+    @pytest.mark.xfail(strict=True, reason="the image CDF takes P(X > hi) where it needs P(X >= hi)")
+    def test_atoms_map_to_the_image_law(self):
+        # the image of a discrete law is the discrete law of its images;
+        # G(0.75) reads 1/3 where the atoms 0.25 -> 0.75 and 0.75 -> 0.75 give 2/3
+        atoms = np.array([0.1, 0.3, 0.75])
+        image = DistSpec("empirical", samples=4.0 * atoms * (1.0 - atoms)).cdf()
+        pushed = pushforward_cdf(DistSpec("empirical", samples=atoms).cdf(), 4.0)
+        y = np.linspace(0.0, 1.0, 101)
+        assert np.max(np.abs(pushed(y) - image(y))) <= 1e-12
 
     def test_exactly_one_above_peak(self):
         pushed = pushforward_cdf(DistSpec("uniform").cdf(), 2.0)
@@ -748,31 +760,44 @@ U = DistSpec("uniform").cdf()
 Y = standard_grid(8)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: iterate_pushforward(U, 4.0, 2.7),
-        lambda: iterate_pushforward(U, 4.0, "3"),
-        lambda: iterates(U, 4.0, 2.0, Y),
-        lambda: convergence_table(2.9),
-        lambda: standard_grid(4.7),
-        lambda: ensemble_push(DistSpec("uniform"), 4.0, 1.5, 1000, 0),
-        lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 1000.7, 0),
-        lambda: trajectory(4.0, 0.3, 10.5),
-        lambda: trajectory(4.0, 0.3, 10, burn_in=2.9),
-        lambda: ergodic_empirical(4.0, 10_000.5, 100),
-        lambda: ks_band(100.9),
-        lambda: sample(DistSpec("uniform"), 10.5, 0),
-        lambda: run_verification(n_samples=1000.5),
-    ],
-    ids=["iterate-depth", "iterate-depth-str", "iterates-depth", "scan-depth", "grid-size",
-         "ensemble-steps", "ensemble-samples", "trajectory-steps",
-         "trajectory-burn-in", "ergodic-steps", "ks-band-samples", "sample-size",
-         "verify-samples"],
-)
-def test_non_integral_count_raises(call):
-    # each was truncated to an int before, silently changing the work done
-    with pytest.raises(ParameterError, match="must be an integer"):
+# each count of the API, as a float (was truncated to an int before,
+# silently changing the work done) and one below its minimum
+COUNT_CASES = {
+    "iterate-depth": (lambda: iterate_pushforward(U, 4.0, 2.7), "must be an integer"),
+    "iterate-depth-str": (lambda: iterate_pushforward(U, 4.0, "3"), "must be an integer"),
+    "iterates-depth": (lambda: iterates(U, 4.0, 2.0, Y), "must be an integer"),
+    "scan-depth": (lambda: convergence_table(2.9), "must be an integer"),
+    "grid-size": (lambda: standard_grid(4.7), "must be an integer"),
+    "ensemble-steps": (lambda: ensemble_push(DistSpec("uniform"), 4.0, 1.5, 1000, 0), "must be an integer"),
+    "ensemble-samples": (lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 1000.7, 0), "must be an integer"),
+    "trajectory-steps": (lambda: trajectory(4.0, 0.3, 10.5), "must be an integer"),
+    "trajectory-burn-in": (lambda: trajectory(4.0, 0.3, 10, burn_in=2.9), "must be an integer"),
+    "ergodic-steps": (lambda: ergodic_empirical(4.0, 10_000.5, 100), "must be an integer"),
+    "ks-band-samples": (lambda: ks_band(100.9), "must be an integer"),
+    "sample-size": (lambda: sample(DistSpec("uniform"), 10.5, 0), "must be an integer"),
+    "verify-samples": (lambda: run_verification(n_samples=1000.5), "must be an integer"),
+    "ks-band-samples-below": (lambda: ks_band(0), "sample count must be >= 1; got 0"),
+    "scan-depth-below": (lambda: convergence_table(1), "n_max must be >= 2; got 1"),
+    "sample-size-below": (lambda: sample(DistSpec("uniform"), 0, 0), "sample count must be >= 1; got 0"),
+    "grid-size-below": (lambda: standard_grid(1), "grid size must be >= 2; got 1"),
+    "iterate-depth-below": (lambda: iterate_pushforward(U, 4.0, -1), "iteration count must be >= 0; got -1"),
+    "iterates-depth-below": (lambda: iterates(U, 4.0, -1, Y), "iteration count must be >= 0; got -1"),
+    "trajectory-steps-below": (lambda: trajectory(4.0, 0.3, 0), "steps must be >= 1; got 0"),
+    "trajectory-burn-in-below": (lambda: trajectory(4.0, 0.3, 10, burn_in=-1), "burn_in must be >= 0; got -1"),
+    "ensemble-samples-below": (lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 99, 0),
+                               "n_samples must be >= 100; got 99"),
+    "ensemble-steps-below": (lambda: ensemble_push(DistSpec("uniform"), 4.0, -1, 1000, 0),
+                             "n_steps must be >= 0; got -1"),
+    "ergodic-steps-below": (lambda: ergodic_empirical(4.0, 9_999, 100), "total_steps must be >= 10000; got 9999"),
+    "verify-samples-below": (lambda: run_verification(n_samples=99), "n_samples must be >= 100; got 99"),
+    "cli-steps-below": (lambda: cli.cmd_iterate(cli.build_parser().parse_args(["iterate", "--steps", "-1"])),
+                        "iteration count must be >= 0; got -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", COUNT_CASES.values(), ids=COUNT_CASES.keys())
+def test_non_integral_count_raises(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
         call()
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cdfpush import convergence_table
+from cdfpush import ConvergenceError, convergence_table
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -65,3 +65,15 @@ def test_convergence_scan_rejects_bad_parameters(convergence_scan, capsys, bad):
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
 
+
+
+def test_convergence_scan_exits_3_on_a_numerical_failure(convergence_scan, capsys, monkeypatch):
+    # a numerical-integrity failure, as `cdfpush` reports one: exit 3 and one line
+    def failing(*args, **kwargs):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(convergence_scan, "convergence_table", failing)
+    assert convergence_scan.main(["--n-max", "4", "--grid", "64"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical integrity failure: no convergence\n"
