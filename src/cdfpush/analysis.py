@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .distributions import DistSpec, _count
+from .distributions import Cdf, DistSpec, _count
 from .errors import ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
@@ -59,13 +59,15 @@ def ks_statistic(empirical: DistSpec, F) -> float:
     samples against the CDF F.
 
     The exact two-sided form over the n sorted samples x_0 <= ... <= x_{n-1}:
-    the largest of (i+1)/n - F(x_i) and F(x_i) - i/n.  F is monotone, so
-    most samples cannot carry the supremum, and F is called at most twice
-    and sees each sample at most once:
+    the largest of (i+1)/n - F(x_i) and F(x_i-) - i/n, with the left limit
+    F(x_i-) from the atoms of a reference `Cdf` whose spec is empirical and
+    F(x_i) itself for any other reference.  F is monotone, so most samples
+    cannot carry the supremum, and F is called at most twice and sees each
+    sample at most once:
 
     1. F is evaluated at every 16th sample and the last one.
     2. Between adjacent evaluated indices a < b, every sample i has
-       (i+1)/n - F(x_i) <= b/n - F(x_a) and F(x_i) - i/n <= F(x_b) - (a+1)/n.
+       (i+1)/n - F(x_i) <= b/n - F(x_a) and F(x_i-) - i/n <= F(x_b) - (a+1)/n.
        F is evaluated at the samples of every gap whose bound exceeds the
        maximum so far minus `MONOTONICITY_TOLERANCE`, the slack that covers
        rounding dips in a computed CDF.  If the values of step 1 decrease
@@ -76,9 +78,18 @@ def ks_statistic(empirical: DistSpec, F) -> float:
     if x is None:
         raise ParameterError(f"the KS statistic needs an empirical spec; got {empirical.label}")
     n = x.size
+    spec = F.spec if isinstance(F, Cdf) else None
+    atoms = spec.samples if spec is not None and spec.family == "empirical" else None
+
+    def terms_max(i: np.ndarray, fx: np.ndarray) -> float:
+        # the largest KS term (i+1)/n - F(x_i) or F(x_i-) - i/n over the
+        # 0-based sample indices i with reference values fx
+        left = fx if atoms is None else np.searchsorted(atoms, x[i], side="left") / atoms.size
+        return float(max(np.max((i + 1) / n - fx), np.max(left - i / n)))
+
     probe = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
     f_probe = np.asarray(F(x[probe]), dtype=float)
-    stat = _ks_terms_max(probe, f_probe, n)
+    stat = terms_max(probe, f_probe)
     a, b = probe[:-1], probe[1:]
     f_a, f_b = f_probe[:-1], f_probe[1:]
     if np.all(f_b - f_a >= -MONOTONICITY_TOLERANCE):
@@ -91,14 +102,8 @@ def ks_statistic(empirical: DistSpec, F) -> float:
     in_open_gap[a] = False
     rest = np.flatnonzero(in_open_gap)
     if rest.size:
-        stat = max(stat, _ks_terms_max(rest, np.asarray(F(x[rest]), dtype=float), n))
+        stat = max(stat, terms_max(rest, np.asarray(F(x[rest]), dtype=float)))
     return stat
-
-
-def _ks_terms_max(i: np.ndarray, fx: np.ndarray, n: int) -> float:
-    """The largest KS term (i+1)/n - F(x_i) or F(x_i) - i/n over the
-    0-based sample indices i with reference values fx."""
-    return float(max(np.max((i + 1) / n - fx), np.max(fx - i / n)))
 
 
 def fixed_point_residual(F, r, m: int = DEFAULT_GRID_SIZE) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -131,10 +131,15 @@ class Cdf:
     recording how the function was realized (closed form, pushforward,
     grid interpolation).  Calling validates the evaluation points once;
     the wrapped kernel receives a clean float array.
+
+    `spec` is the law, set only by `DistSpec.cdf()`, and the evaluation
+    plan and the KS statistic route on it.  `dataclasses.replace(F, fn=...)`
+    keeps it, so the route follows the law and not the evaluator.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     provenance: str
+    spec: DistSpec | None = field(default=None, kw_only=True)
 
     def __call__(self, y):
         arr, scalar = _as_unit_array(y)
@@ -151,6 +156,11 @@ def _arcsine_kernel(arr: np.ndarray) -> np.ndarray:
     the standard grid and of the tent map at r = 4, as the angle of
     (sqrt(1 - y), sqrt(y)): arcsin(sqrt(y)) is 2.8e-9 off at 1 - 2**-53."""
     return (2.0 / np.pi) * np.arctan2(np.sqrt(arr), np.sqrt(1.0 - arr))
+
+
+def _empirical_kernel(samples: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """The step CDF of the sorted samples: the share of them at or below arr."""
+    return np.searchsorted(samples, arr, side="right") / samples.size
 
 
 def _kumaraswamy_kernel(a: float, b: float, arr: np.ndarray) -> np.ndarray:
@@ -618,7 +628,7 @@ class _InverseTable:
 
 
 def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
-    """Invert the beta CDF at p in [0, 1].
+    """Invert the beta CDF at p in [0, 1], in place.
 
     Each point starts from the inverse table of its side of the split
     (`_InverseTable`, cached with the law), inside the bracket of its
@@ -628,22 +638,21 @@ def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
     map to exactly 0 and 1, and so does a p whose start rounds to 0 or 1.
 
     The points go through the table and `_newton` in `_blocks`, so that
-    their temporaries stay in cache.  Where both sides are Chebyshev
-    series no root depends on the other points of its call, so the blocks
-    do not move a draw.
+    their temporaries stay in cache, and each block's roots are written
+    back into p, which the caller gives up.  Where both sides are
+    Chebyshev series no root depends on the other points of its call, so
+    the blocks do not move a draw.
     """
     law = _beta_law(a, b)
-    out = np.empty_like(p)
     for span in _blocks(p.size):
         block = p[span]
-        x = np.where(block < 1.0, 0.0, 1.0)
         todo = np.flatnonzero((block > 0.0) & (block < 1.0))
+        q = block[todo]
+        np.copyto(block, block >= 1.0)  # 0 and 1 stay; -0.0 becomes +0.0
         if todo.size:
-            q = block[todo]
             qc = 1.0 - q
-            x[todo] = _newton(law, q, qc, *law.inverse.start(q, qc))
-        out[span] = x
-    return out
+            block[todo] = _newton(law, q, qc, *law.inverse.start(q, qc))
+    return p
 
 
 class _Owned:
@@ -736,31 +745,17 @@ class DistSpec:
         return self.family
 
     def cdf(self) -> Cdf:
-        """Realize the spec as a callable CDF."""
-        if self.family == "uniform":
-            kernel = _uniform_kernel
-        elif self.family == "arcsine":
-            kernel = _arcsine_kernel
-        elif self.family == "kumaraswamy":
-            a, b = self.alpha, self.beta
-
-            def kernel(arr, a=a, b=b):
-                return _kumaraswamy_kernel(a, b, arr)
-
+        """Realize the spec as a callable CDF that carries the spec."""
+        if self.family == "kumaraswamy":
+            kernel = functools.partial(_kumaraswamy_kernel, self.alpha, self.beta)
         elif self.family == "beta":
             kernel = _beta_law(self.alpha, self.beta).cdf
-
+        elif self.family == "empirical":
+            kernel = functools.partial(_empirical_kernel, self.samples)
         else:
-            samples = self.samples
-
-            def kernel(arr, samples=samples):
-                return np.searchsorted(samples, arr, side="right") / samples.size
-
-        if self.family == "empirical":
-            provenance = self.label
-        else:
-            provenance = f"closed-form:{self.label}"
-        return Cdf(kernel, provenance=provenance)
+            kernel = _uniform_kernel if self.family == "uniform" else _arcsine_kernel
+        provenance = self.label if self.family == "empirical" else f"closed-form:{self.label}"
+        return Cdf(kernel, provenance, spec=self)
 
     def quantile(self, p):
         """Evaluate the quantile function at probability p.
@@ -779,8 +774,8 @@ class DistSpec:
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """The quantiles of a closed-form family at the probabilities u, a
-        float array in [0, 1] that the caller gives up: all but the beta
-        law overwrite u and return it."""
+        float array in [0, 1] that the caller gives up, computed in place
+        in u."""
         if self.family == "arcsine":
             u *= 0.5 * np.pi
             np.sin(u, out=u)

@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import _CACHE_BLOCK, Cdf, _arcsine_kernel, _as_unit_array, _count, _restore, _uniform_kernel
+from .distributions import _CACHE_BLOCK, Cdf, _arcsine_kernel, _as_unit_array, _count, _empirical_kernel, _restore
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -193,9 +193,10 @@ class IterateCdf(Cdf):
     """The n-fold pushforward of a base CDF, realized as a `Cdf`.
 
     `strategy` records how `_plan` evaluates it: "exact" (the recursion
-    over the preimage tree; at n = 0 the base itself), "grid" (the grid
-    chain on the standard grid) or "closed-form" (the tent-map closed
-    form of the uniform start at r = 4).
+    over the preimage tree, or the pushed samples of an empirical base;
+    at n = 0 the base itself), "grid" (the grid chain on the standard
+    grid) or "closed-form" (the tent-map closed form of the uniform start
+    at r = 4).
     """
 
     strategy: str
@@ -256,20 +257,23 @@ def _grid_chain(values: np.ndarray, rr: float, grid: np.ndarray, u: np.ndarray):
         yield values
 
 
-def _plan(fn, rr: float, n: int, first: int, strategy: str):
-    """How the depths first..n of the base kernel fn are evaluated, as
+def _plan(base: Cdf, rr: float, n: int, first: int, strategy: str):
+    """How the depths first..n of the base are evaluated, as
     (the strategy of depth n, a kernel that maps validated points arr to
     the (n - first + 1,) + arr.shape array of their rows).
 
-    This is the one place that decides between the strategies.  Depth 0
-    is the base itself.  "auto" evaluates the uniform start at r = 4
-    (the kernel of the uniform spec, not a callable that wraps it) by its
-    closed form from depth 1 on, and any other base exactly through
-    `EXACT_ITERATION_LIMIT`, a leading run since a depth costs at least
-    as much as the one before, and by the grid chain beyond.  "exact"
-    and "grid" force the recursion or the grid chain from depth 1 on;
-    "exact" past the limit raises ResourceLimitError instead of
-    attempting a 2**n-fold evaluation.
+    This is the one place that decides between the strategies, on the
+    law that `base.spec` names; depth 0 is the base itself.  "auto"
+    evaluates the uniform start at r = 4 (the uniform spec's law,
+    whatever evaluates it) by its closed form from depth 1 on, and any
+    other base exactly through `EXACT_ITERATION_LIMIT`, a leading run
+    since a depth costs at least as much as the one before, and by the
+    grid chain beyond.  "exact" and "grid" force the recursion or the
+    grid chain from depth 1 on; "exact" past the limit raises
+    ResourceLimitError instead of attempting a 2**n-fold evaluation.
+    Under "auto" and "exact" an empirical base is pushed as its law:
+    D_k is the step CDF of its samples pushed k times with the roundings
+    of `r * x * (1.0 - x)`, recorded as "exact" at any depth.
 
     The exact rows come from one traversal of `_pull`.  The grid chain
     on `DEFAULT_GRID_SIZE` intervals tabulates the base once, here, and
@@ -279,16 +283,29 @@ def _plan(fn, rr: float, n: int, first: int, strategy: str):
     """
     if strategy not in ("auto", "exact", "grid"):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    if strategy == "exact" and n > EXACT_ITERATION_LIMIT:
+    family = getattr(base.spec, "family", None)
+    closed = strategy == "auto" and family == "uniform" and rr == 4.0
+    image = strategy != "grid" and family == "empirical"
+    if strategy == "exact" and n > EXACT_ITERATION_LIMIT and not image:
         raise ResourceLimitError(
             f"exact recursion for n={n} would need 2**{n} base evaluations "
             f"per point; the supported depth is {EXACT_ITERATION_LIMIT} (use the grid strategy)"
         )
-    closed = strategy == "auto" and fn is _uniform_kernel and rr == 4.0
-    # the first depth that is not evaluated exactly
-    split = max(first, 1 if closed or strategy == "grid" else min(n, EXACT_ITERATION_LIMIT) + 1)
-    resolved = "exact" if split > n else "closed-form" if closed else "grid"
-    if resolved == "closed-form":
+    # the first depth that `_pull` does not evaluate
+    split = max(first, 1 if closed or image or strategy == "grid" else min(n, EXACT_ITERATION_LIMIT) + 1)
+    resolved = "exact" if split > n or image else "closed-form" if closed else "grid"
+    if image:
+        samples, tables = base.spec.samples, []
+        for k in range(1, n + 1):
+            samples = rr * samples * (1.0 - samples)
+            if k >= split:
+                tables.append(np.sort(samples))
+
+        def deeper(arr: np.ndarray, out: np.ndarray) -> None:
+            for row, table in zip(out, tables):
+                row[...] = _empirical_kernel(table, arr)
+
+    elif resolved == "closed-form":
 
         def deeper(arr: np.ndarray, out: np.ndarray) -> None:
             u = _arcsine_kernel(arr)
@@ -298,8 +315,8 @@ def _plan(fn, rr: float, n: int, first: int, strategy: str):
     elif resolved == "grid":
         grid = standard_grid(DEFAULT_GRID_SIZE)
         u = _arcsine_kernel(grid)
-        base = _settle(np.array(fn(grid), dtype=float, copy=True), grid)
-        start = next(islice(_grid_chain(base, rr, grid, u), split, None))
+        table = _settle(np.array(base.fn(grid), dtype=float, copy=True), grid)
+        start = next(islice(_grid_chain(table, rr, grid, u), split, None))
 
         def deeper(arr: np.ndarray, out: np.ndarray) -> None:
             # the image of any distribution is supported below the peak
@@ -310,11 +327,11 @@ def _plan(fn, rr: float, n: int, first: int, strategy: str):
 
     def kernel(arr: np.ndarray) -> np.ndarray:
         if split > n:  # every row exact; at n = 0 `_pull` returns what the base did
-            exact = _pull(fn, rr, n, arr, n + 1 - first)
+            exact = _pull(base.fn, rr, n, arr, n + 1 - first)
             return exact if n else exact.copy()
         out = np.ones((n + 1 - first,) + arr.shape)
         if split > first:
-            out[: split - first] = _pull(fn, rr, split - 1, arr, split - first)
+            out[: split - first] = _pull(base.fn, rr, split - 1, arr, split - first)
         deeper(arr, out[split - first :])
         return out
 
@@ -342,9 +359,9 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     rr = validate_map_param(r)
     steps = _count(n, "iteration count", 0)
     base = _as_cdf(F0)
-    resolved, rows = _plan(base.fn, rr, steps, steps, strategy)
+    resolved, rows = _plan(base, rr, steps, steps, strategy)
     if steps == 0:
-        return IterateCdf(base.fn, base.provenance, "exact")
+        return IterateCdf(base.fn, base.provenance, "exact", spec=base.spec)
     tag, times = {
         "exact": (f"pushforward[r={rr:g}]", steps),
         "grid": (f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]", 1),
@@ -367,4 +384,4 @@ def iterates(F0, r, n: int, y) -> np.ndarray:
     rr = validate_map_param(r)
     steps = _count(n, "iteration count", 0)
     arr = _as_unit_array(y)[0].ravel()
-    return _plan(_as_cdf(F0).fn, rr, steps, 0, "auto")[1](arr)
+    return _plan(_as_cdf(F0), rr, steps, 0, "auto")[1](arr)

@@ -68,10 +68,9 @@ class TestKsStatistic:
     def test_single_sample(self):
         assert ks_statistic(DistSpec("empirical", samples=np.array([0.5])), U) == 0.5
 
-    @pytest.mark.xfail(strict=True, reason="d_minus takes F(x) where a CDF with atoms needs F(x-)")
     def test_zero_against_its_own_atoms(self):
-        # a sample scored against its own empirical law fits it exactly; this
-        # reads 0.5
+        # a sample scored against its own empirical law fits it exactly; with
+        # F(x) in place of the left limit F(x-) this read 0.5
         spec = DistSpec("empirical", samples=np.array([0.2, 0.7]))
         assert ks_statistic(spec, spec.cdf()) == 0.0
 
@@ -99,14 +98,19 @@ class TestKsStatistic:
         assert means[0] > means[1]
 
 
-def ks_full(empirical, F):
+def ks_full(empirical, F, step=False):
     """The KS statistic from F at every sorted sample: the oracle of the
-    bracketed `ks_statistic`."""
+    bracketed `ks_statistic`.  Its d- term takes the left limit F(x-): for
+    a step CDF whose atoms are floats (step=True) that is F at the next
+    float below x, and 0 at x = 0; for a continuous F it is F(x)."""
     x = empirical.samples
     n = x.size
     fx = np.asarray(F(x), dtype=float)
+    left = fx
+    if step:
+        left = np.where(x > 0.0, np.asarray(F(np.nextafter(x, 0.0)), dtype=float), 0.0)
     ranks = np.arange(1, n + 1, dtype=float)
-    return max(float(np.max(ranks / n - fx)), float(np.max(fx - (ranks - 1.0) / n)))
+    return max(float(np.max(ranks / n - fx)), float(np.max(left - (ranks - 1.0) / n)))
 
 
 class CountingCdf:
@@ -122,7 +126,8 @@ class CountingCdf:
 
 
 BETA = DistSpec("beta", 2.5, 3.5)
-EMPIRICAL_REF = DistSpec("empirical", samples=sample(DistSpec("kumaraswamy", 2.0, 3.0), 3000, 11)).cdf()
+EMPIRICAL_SPEC = DistSpec("empirical", samples=sample(DistSpec("kumaraswamy", 2.0, 3.0), 3000, 11))
+EMPIRICAL_REF = EMPIRICAL_SPEC.cdf()
 
 
 class TestKsBracketing:
@@ -136,7 +141,7 @@ class TestKsBracketing:
     @pytest.mark.parametrize("n", [1, 16, 17, 1000, 20_000])
     def test_equals_full_evaluation(self, F, draw, n):
         emp = DistSpec("empirical", samples=sample(DistSpec.parse(draw), n, n))
-        assert ks_statistic(emp, F) == ks_full(emp, F)
+        assert ks_statistic(emp, F) == ks_full(emp, F, step=F is EMPIRICAL_REF)
 
     @pytest.mark.parametrize("r, depth", [(4.0, 14), (3.7, 13)])
     def test_grid_iterates(self, r, depth):
@@ -177,7 +182,14 @@ class TestKsBracketing:
             x[0], x[-1] = 0.0, 1.0
         F = {"uniform": U, "arcsine": A, "kum23": K23, "empirical": EMPIRICAL_REF}[ref]
         emp = DistSpec("empirical", samples=x)
-        assert ks_statistic(emp, F) == ks_full(emp, F)
+        assert ks_statistic(emp, F) == ks_full(emp, F, step=F is EMPIRICAL_REF)
+
+    @pytest.mark.parametrize("n", [1, 17, 3000, 20_000])
+    def test_bootstrap_of_the_reference_atoms(self, n):
+        # every sample is an atom of the reference, so the d- term needs
+        # F(x-); F(x) gave the wrong statistic on these
+        emp = DistSpec("empirical", samples=sample(EMPIRICAL_SPEC, n, n))
+        assert ks_statistic(emp, EMPIRICAL_REF) == ks_full(emp, EMPIRICAL_REF, step=True)
 
     def test_supremum_on_a_gap_bound(self):
         # sixteen tied samples make the first gap's d+ bound, 16/33 - 0.01,
