@@ -32,7 +32,7 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # continued fraction: run to _BETA_CF_TOL where it is the fallback (see
-# `_HypergeometricFactor`), to _BETA_CF_FIT_TOL where it samples a fit
+# `_Side`), to _BETA_CF_FIT_TOL where it samples a fit
 _BETA_CF_TOL = 1e-12
 _BETA_CF_FIT_TOL = 2.0 * _EPS
 _BETA_CF_MAX_ITER = 300
@@ -48,7 +48,7 @@ _CF_TINY = 1e-300
 _CHEB_MAX_DEGREE = 256
 _CHEB_PLATEAU = 2.0**-46
 # beta quantile: a point is done once its Newton step or its bracket is
-# this small relative to x (to the smallest normal float below it)
+# this small relative to x on its side (to the smallest normal float below)
 _QUANTILE_RTOL = 1e-13
 _QUANTILE_MAX_PASSES = 100
 # beta quantile starts: cells per side of the inverse table, the cap on the
@@ -132,7 +132,8 @@ class Cdf:
     grid interpolation).  Calling validates the evaluation points once;
     the wrapped kernel receives a clean float array.
 
-    `spec` is the law, set only by `DistSpec.cdf()`, and the evaluation
+    `spec` is the law, set by `DistSpec.cdf()` and by an iterate whose
+    law the evaluation plan knows (see `iterate_pushforward`), and the
     plan and the KS statistic route on it.  `dataclasses.replace(F, fn=...)`
     keeps it, so the route follows the law and not the evaluator.
     """
@@ -282,25 +283,6 @@ def _clenshaw(coef: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return out
 
 
-class _HypergeometricFactor:
-    """h(u) = 2F1(p+q, 1; p+1; u) for u in [0, (p+1)/(p+q+2)]: a Chebyshev
-    series evaluated by Clenshaw, or, where `_chebyshev_fit` finds none
-    (`coef` is None), the continued fraction for the same function."""
-
-    def __init__(self, p: float, q: float):
-        self.p, self.q = p, q
-        split = (p + 1.0) / (p + q + 2.0)
-        self.scale = 4.0 / split  # u -> 2t for t in [-1, 1]
-        self.coef = _chebyshev_fit(p, q, split)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self.coef is None:
-            return _beta_continued_fraction(self.p, self.q, u, _BETA_CF_TOL, _BETA_CF_MAX_ITER)
-        t2 = u * self.scale
-        t2 -= 2.0
-        return _clenshaw(self.coef, t2)
-
-
 # Stirling corrections of TOMS 708 (DiDonato & Morris, ACM TOMS 18, 1992):
 # minimax coefficients for arguments of at least 8
 _STIRLING_COEF = (
@@ -347,78 +329,103 @@ def _ln_beta(a: float, b: float) -> float:
     return (front - min(u, v)) - max(u, v)
 
 
-class _IncompleteBeta:
-    """The regularized incomplete beta function I_x(a, b) of one (a, b).
+class _Side:
+    """The side of beta(p, q) below its split (p+1)/(p+q+2).
 
-    With front = x^a (1-x)^b / B(a, b) and h_(p,q) as in
-    `_HypergeometricFactor`, I_x(a, b) = front * h_(a,b)(x) / a below the
-    split (a+1)/(a+b+2) (DLMF 8.17.8), and 1 - front * h_(b,a)(1-x) / b at
-    and above it, by the symmetry I_x(a, b) = 1 - I_(1-x)(b, a).  Both
-    factors are fitted here, once (one serves both sides when a = b);
-    `_beta_law` caches the result.
+    There I_x(p, q) = front(x) * h(x) / p (DLMF 8.17.8), with front(x) =
+    x^p (1-x)^q / B(p, q) and h(u) = 2F1(p+q, 1; p+1; u): a Chebyshev
+    series evaluated by Clenshaw, or, where `_chebyshev_fit` finds none
+    (`coef` is None), the continued fraction for the same function.  By
+    I_x(a, b) = 1 - I_(1-x)(b, a), the side of beta(a, b) at and above
+    its split is the side of beta(b, a) below its own, in the coordinate
+    1 - x, so `_side` fits each side once for both laws.
     """
 
-    def __init__(self, a: float, b: float):
-        self.a, self.b = a, b
-        self.split = (a + 1.0) / (a + b + 2.0)
-        self.ln_beta = _ln_beta(a, b)
-        self.lower = _HypergeometricFactor(a, b)
-        self.upper = self.lower if a == b else _HypergeometricFactor(b, a)
+    def __init__(self, p: float, q: float):
+        self.p, self.q = p, q
+        self.split = (p + 1.0) / (p + q + 2.0)
+        self.scale = 4.0 / self.split  # u -> 2t for t in [-1, 1]
+        self.coef = _chebyshev_fit(p, q, self.split)
+        self.ln_beta = _ln_beta(p, q)
+
+    def h(self, u: np.ndarray) -> np.ndarray:
+        if self.coef is None:
+            return _beta_continued_fraction(self.p, self.q, u, _BETA_CF_TOL, _BETA_CF_MAX_ITER)
+        t2 = u * self.scale
+        t2 -= 2.0
+        return _clenshaw(self.coef, t2)
 
     def front(self, x: np.ndarray) -> np.ndarray:
-        """x^a (1-x)^b / B(a, b), 0 at x = 0 and x = 1."""
+        """x^p (1-x)^q / B(p, q), 0 at x = 0 and x = 1."""
         with np.errstate(divide="ignore"):  # log(0) = -inf at both endpoints
-            return np.exp(self.a * np.log(x) + self.b * np.log1p(-x) - self.ln_beta)
+            return np.exp(self.p * np.log(x) + self.q * np.log1p(-x) - self.ln_beta)
+
+    def tail(self, x: np.ndarray):
+        """(I_x(p, q), front) at x in [0, split].  front divided by x(1-x)
+        is the beta density, which Newton's step takes from here at no
+        extra exp or log; both are 0 at x = 0."""
+        front = self.front(x)
+        tail = front * self.h(x)
+        tail /= self.p
+        return tail, front
 
     @functools.cached_property
     def inverse(self) -> "_InverseTable":
         """The quantile's start table, built on the first draw."""
         return _InverseTable(self)
 
-    def tails(self, x: np.ndarray):
-        """(tail, front, upper) at a flat array x in [0, 1]: tail is I_x
-        below the split and 1 - I_x at the indices `upper` of the points at
-        or above it.
+    def quantile(self, t: np.ndarray) -> np.ndarray:
+        """The roots x of I_x(p, q) = t for t up to the side's mass."""
+        return _newton(self, t, *self.inverse.start(t))
 
-        front divided by x(1-x) is the beta density, which Newton's step
-        in `_beta_quantile` takes from here at no extra exp or log.  Both
-        tail and front are 0 at x = 0 and x = 1.  The sides are gathered
-        by index: a boolean gather costs several times more on the
-        interleaved sides of random points.
-        """
-        front = self.front(x)
-        above = x >= self.split
-        lower, upper = np.flatnonzero(~above), np.flatnonzero(above)
-        tail = np.empty_like(x)
-        for side, factor, shape, u in (
-            (lower, self.lower, self.a, x[lower]),
-            (upper, self.upper, self.b, 1.0 - x[upper]),
-        ):
-            v = front[side]
-            v *= factor(u)
-            v /= shape
-            tail[side] = v
-        return tail, front, upper
+
+class _IncompleteBeta:
+    """The regularized incomplete beta function I_x(a, b) of one (a, b):
+    the side `lower` of beta(a, b) below the split (a+1)/(a+b+2), and at
+    and above it 1 - the tail of `upper`, the lower side of beta(b, a),
+    at 1 - x.  When a = b the two are one object."""
+
+    def __init__(self, lower: _Side, upper: _Side):
+        self.lower, self.upper = lower, upper
+        self.split, self.ln_beta = lower.split, lower.ln_beta
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        tail, _, upper = self.tails(x.reshape(-1))
+        """I_x at x in [0, 1].  front is formed from x once, by the lower
+        side; the sides are gathered by index (a boolean gather costs
+        several times more on the interleaved sides of random points), and
+        the upper side is flipped after the loop: flipping inside it took
+        7 % more time."""
+        flat = x.reshape(-1)
+        front = self.lower.front(flat)
+        above = flat >= self.split
+        lower, upper = np.flatnonzero(~above), np.flatnonzero(above)
+        tail = np.empty_like(flat)
+        for index, side, u in ((lower, self.lower, flat[lower]), (upper, self.upper, 1.0 - flat[upper])):
+            v = front[index]
+            v *= side.h(u)
+            v /= side.p
+            tail[index] = v
         tail[upper] = 1.0 - tail[upper]
         return tail.reshape(x.shape)
 
 
-# The fit is paid once per (a, b) and process (2-core Xeon, NumPy 2.4):
-# 0.6 ms for (0.5, 0.5), 1.6 ms for (2.5, 3.5), 3.3 ms for (1000, 1000),
-# plus 1.1-1.5 ms for the first use of numpy.fft.  Clenshaw saves
-# 0.1-0.15 us a point against the continued fraction, so the fit is
-# repaid once the same (a, b) has met some 10^4 points, as it does within
-# one beta `iterate` or `simulate` command.  The first draw adds the
-# inverse table: 2-3 CDF calls over its 2050 samples and 8190 knots, 1.3-1.5
-# points a knot, in 2-4 ms for (2.5, 3.5), (0.5, 0.5) or (0.05, 5).  With
-# it a draw takes one pass where it took 4.2, which repays the table from
-# about 5000 draws on.
-@functools.lru_cache(maxsize=64)
+# A side's fit is paid once per process, for beta(a, b) and beta(b, a)
+# alike (2-core Xeon, NumPy 2.4): 0.4-0.6 ms a side for (0.5, 0.5) and
+# (2.5, 3.5), 2.7 ms for (1000, 1000), plus 1.1-1.5 ms for the first use of
+# numpy.fft.  Clenshaw saves 0.1-0.15 us a point against the continued
+# fraction, so the fits are repaid once the same (a, b) has met some 10^4
+# points, as it does within one beta `iterate` or `simulate` command.  The
+# first draw adds each side's inverse table: 2-3 CDF calls over its 1025
+# samples and 4095 knots in 1.1-2.6 ms, or 3-5 calls in 9-17 ms on a
+# continued-fraction side.  With them a draw takes one pass where it took
+# 4.2, which repays the tables from about 5000 draws on.
+@functools.lru_cache(maxsize=128)
+def _side(p: float, q: float) -> _Side:
+    return _Side(p, q)
+
+
 def _beta_law(a: float, b: float) -> _IncompleteBeta:
-    return _IncompleteBeta(a, b)
+    return _IncompleteBeta(_side(a, b), _side(b, a))
 
 
 def cdf_beta(alpha, beta, y):
@@ -436,20 +443,18 @@ def cdf_beta(alpha, beta, y):
     return _restore(_beta_law(a, b).cdf(arr), scalar)
 
 
-def _newton(law: _IncompleteBeta, q, qc, x, lo, hi) -> np.ndarray:
-    """Roots of I_x = q (1 - I_x = qc above the split) by safeguarded
-    Newton from the starts x in the brackets [lo, hi].
+def _newton(side: _Side, t, x, lo, hi) -> np.ndarray:
+    """Roots of I_x(p, q) = t on the side, by safeguarded Newton from the
+    starts x in the brackets [lo, hi].
 
     rtsafe (Press et al., Numerical Recipes, section 9.4), vectorized: every
     CDF pass narrows each bracket, and a point bisects whenever its Newton
     step would leave the bracket or is not under half the step before last.
-    A root below the split is found by comparing q with I_x, one above it
-    by comparing qc with 1 - I_x, which keeps the digits of p next to 1.
-    Only unconverged points are evaluated, each from its own values, so
-    where both sides are Chebyshev series no root depends on the other
-    points of its call.  A point is done once its step or its bracket falls
-    below `_QUANTILE_RTOL` times x; a start at 0 or 1 is returned as is.
-    Raises ConvergenceError past `_QUANTILE_MAX_PASSES` passes instead of
+    Only unconverged points are evaluated, each from its own values, so on
+    a Chebyshev series no root depends on the other points of its call.
+    A point is done once its step or its bracket falls below
+    `_QUANTILE_RTOL` times x; a start at 0 or 1 is returned as is.  Raises
+    ConvergenceError past `_QUANTILE_MAX_PASSES` passes instead of
     returning an unconverged value.
     """
     out = x.copy()
@@ -461,19 +466,16 @@ def _newton(law: _IncompleteBeta, q, qc, x, lo, hi) -> np.ndarray:
         if done.any():
             out[todo[done]] = x[done]
             keep = np.flatnonzero(~done)
-            todo, q, qc, lo, hi, x, step, step_old = (
-                v.take(keep) for v in (todo, q, qc, lo, hi, x, step, step_old)
-            )
+            todo, t, lo, hi, x, step, step_old = (v.take(keep) for v in (todo, t, lo, hi, x, step, step_old))
         if not todo.size:
             return out
         if passes == _QUANTILE_MAX_PASSES:
             raise ConvergenceError(
-                f"beta quantile: {todo.size} points unconverged after "
-                f"{passes} CDF passes (alpha={law.a:g}, beta={law.b:g})"
+                f"beta quantile: {todo.size} points unconverged after {passes} "
+                f"CDF passes (the side of beta({side.p:g}, {side.q:g}) below its split)"
             )
-        tail, front, upper = law.tails(x)
-        g = tail - q  # I_x - p
-        g[upper] = qc[upper] - tail[upper]
+        tail, front = side.tail(x)
+        g = tail - t
         below = g < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -489,169 +491,127 @@ def _newton(law: _IncompleteBeta, q, qc, x, lo, hi) -> np.ndarray:
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
 
 
-def _inverse_cells(law: _IncompleteBeta, sigma, end, w, t, x, d) -> list:
-    """The cubic Hermite interpolant through the points (w, d) of each row
-    of an `_InverseTable`, as flat arrays of the coefficients c0..c3 of
-    each cell, in d = c0 + u (c1 + u (c2 + u c3)) for the cell's coordinate
-    u in [0, 1], and of the cell's end.  The slope dd/dw at a point is
-    sigma t / (w f(x)), with f the beta density, and `end` at w = 0; a
-    slope that is not finite is replaced by the cell's secant."""
+def _inverse_cells(side: _Side, sigma: float, end, w, t, x) -> list:
+    """The cubic Hermite interpolant through the points (w, x) of an
+    `_InverseTable`, as the coefficients c0..c3 of each cell, in
+    x = c0 + u (c1 + u (c2 + u c3)) for the cell's coordinate u in [0, 1],
+    and the cell's end.  The slope dx/dw at a point is sigma t / (w f(x)),
+    with f the beta density, and `end` at w = 0; a slope that is not
+    finite is replaced by the cell's secant."""
     with np.errstate(divide="ignore", invalid="ignore"):  # and inf * 0 where t underflows
-        m = sigma * t / w * (x * (1.0 - x)) / law.front(x)
-        m[:, :1] = end
-        dw = np.diff(w, axis=-1)
-        m0, m1 = m[:, :-1] * dw, m[:, 1:] * dw
-    d0, d1 = d[:, :-1], d[:, 1:]
-    secant = d1 - d0
+        m = sigma * t / w * (x * (1.0 - x)) / side.front(x)
+        m[0] = end
+        dw = np.diff(w)
+        m0, m1 = m[:-1] * dw, m[1:] * dw
+    x0, x1 = x[:-1], x[1:]
+    secant = x1 - x0
     m0 = np.where(np.isfinite(m0), m0, secant)
     m1 = np.where(np.isfinite(m1), m1, secant)
-    return [c.ravel() for c in (d0, m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant, d1)]
+    return [x0, m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant, x1]
 
 
 def _hermite(cells: list, j: np.ndarray, u: np.ndarray):
-    """Start, value and end of cell j of `_inverse_cells` at u, the value
-    held inside the cell."""
+    """Value, start and end of cell j of `_inverse_cells` at u, the value
+    held inside the cell: a start and bracket for `_newton`."""
     c0, c1, c2, c3, end = (c.take(j) for c in cells)
-    d = c3 * u
-    d += c2
-    d *= u
-    d += c1
-    d *= u
-    d += c0
-    return c0, np.minimum(np.maximum(d, c0), end), end
-
-
-def _as_x(lo: np.ndarray, d: np.ndarray, hi: np.ndarray, upper: np.ndarray):
-    """(x, lo, hi) from a distance d from a side's end and its bracket
-    [lo, hi], in place: 1 - d at the indices `upper` of the side above the
-    split, where the bracket's ends swap."""
-    for v in (lo, d, hi):
-        v[upper] = 1.0 - v[upper]
-    lo[upper], hi[upper] = hi[upper], lo[upper]
-    return d, lo, hi
+    x = c3 * u
+    x += c2
+    x *= u
+    x += c1
+    x *= u
+    x += c0
+    return np.minimum(np.maximum(x, c0), end), c0, end
 
 
 class _InverseTable:
-    """Cubic Hermite tables of the beta quantile, one per side of the split.
+    """A cubic Hermite table of the quantile of one `_Side`.
 
-    A side holds the points whose tail probability t (I_x below the split,
-    1 - I_x above it) is at most its mass m, the tail at the split.  Its
-    table maps w = (t / m)**(1/sigma) in [0, 1] to the distance d of the
-    root from the side's end (x below the split, 1 - x above it), at
+    The side holds the tails t up to its mass m, its tail at the split.
+    The table maps w = (t / m)**(1/sigma) in [0, 1] to the root x, at
     `_INVERSE_CELLS` + 1 knots uniform in w, so a point finds its cell by
-    arithmetic.  With sigma the side's endpoint exponent s (a below the
-    split, b above it), t ~ d^s / (s B(a, b)) makes d an analytic function
-    of w up to the end, where d / w tends to (s B(a, b) m)**(1/s), so the
-    interpolant keeps its relative accuracy in the far tail.  sigma is
-    capped at `_INVERSE_MAX_EXPONENT`: for large s, t**(1/s) packs the bulk
-    of the side into a few cells next to w = 1.
+    arithmetic.  With sigma the side's endpoint exponent p,
+    t ~ x^p / (p B(p, q)) makes x an analytic function of w up to 0,
+    where x / w tends to (p B(p, q) m)**(1/p), so the interpolant keeps
+    its relative accuracy in the far tail.  sigma is capped at
+    `_INVERSE_MAX_EXPONENT`: for large p, t**(1/p) packs the bulk of the
+    side into a few cells next to w = 1.
 
     The knots are roots found by `_newton` after one CDF pass at
-    `_INVERSE_SAMPLES` + 1 Chebyshev points of each side.  A knot starts
+    `_INVERSE_SAMPLES` + 1 Chebyshev points of the side.  A knot starts
     from the same kind of interpolant through the samples, inside the two
     samples around it, which bracket it.
     """
 
-    def __init__(self, law: _IncompleteBeta):
-        split, cells = law.split, _INVERSE_CELLS
-        # one row per side: the distance d from the side's end to the split
-        width = np.array([[split], [1.0 - split]])
-        # The one CDF pass: each side's own tail at its Chebyshev points,
-        # ends included.  The last point of the lower side is x = split,
-        # where the tail read is the upper side's mass.
-        d = width * (0.5 - 0.5 * np.cos(np.pi / _INVERSE_SAMPLES * np.arange(_INVERSE_SAMPLES + 1)))
-        x = d.copy()
-        x[1] = 1.0 - d[1]
-        t = law.tails(x.ravel())[0].reshape(x.shape)
-        self.lower_mass = 1.0 - t[0, -1]
-        mass = np.array([[self.lower_mass], [t[0, -1]]])
-        shape = np.array([[law.a], [law.b]])
-        sigma = np.minimum(shape, _INVERSE_MAX_EXPONENT)
-        self.sigma, self.inv_mass = sigma.ravel(), 1.0 / mass.ravel()
+    def __init__(self, side: _Side):
+        p, cells = side.p, _INVERSE_CELLS
+        # the one CDF pass: the tail at the side's Chebyshev points, ends included
+        x = side.split * (0.5 - 0.5 * np.cos(np.pi / _INVERSE_SAMPLES * np.arange(_INVERSE_SAMPLES + 1)))
+        t = side.tail(x)[0]
+        self.mass = mass = t[-1]
+        self.inv_mass = 1.0 / mass
+        self.sigma = sigma = min(p, _INVERSE_MAX_EXPONENT)
         # where sigma is capped, cell 0 starts from the tail's power law
-        # d = (s B(a, b) t)**(1/s) instead: exact as t -> 0, where that
+        # x = (p B(p, q) t)**(1/p) instead: exact as t -> 0, where that
         # cell's interpolant is orders of magnitude off
-        self.tail_law = [
-            None if sg == sh else (1.0 / sh, (math.log(sh) + law.ln_beta) / sh)
-            for sg, sh in zip(self.sigma, shape.ravel())
-        ]
-        with np.errstate(over="ignore"):  # d / w at w = 0, where sigma is not capped
-            end = np.exp((np.log(shape) + law.ln_beta + np.log(mass)) / shape)
-        end = np.where(sigma == shape, end, np.inf)
+        capped = sigma < p
+        self.tail_law = (1.0 / p, (math.log(p) + side.ln_beta) / p) if capped else None
+        with np.errstate(over="ignore"):  # x / w at w = 0, where sigma is not capped
+            end = np.inf if capped else np.exp((np.log(p) + side.ln_beta + np.log(mass)) / p)
         # Each knot k / cells starts from the interpolant through the samples,
         # in the cell j of the two samples around it, which bracket it: cell j
         # holds the knots with ceil(w_j cells) <= k < ceil(w_(j+1) cells).
         # cells is a power of two, so w cells is exact.
-        t[:, -1] = mass[:, 0]
-        w = (np.minimum(np.maximum.accumulate(t, axis=1), mass) / mass) ** (1.0 / sigma)
-        count = np.diff(np.ceil(w * cells).astype(np.intp), axis=1).ravel()
-        j = np.repeat(np.arange(count.size), count).reshape(2, cells)[:, 1:].ravel()
+        w = (np.minimum(np.maximum.accumulate(t), mass) / mass) ** (1.0 / sigma)
+        j = np.repeat(np.arange(_INVERSE_SAMPLES), np.diff(np.ceil(w * cells).astype(np.intp)))[1:]
         wk = np.arange(cells + 1) / cells
-        u = (np.tile(wk[1:-1], 2) - w[:, :-1].ravel()[j]) / np.diff(w, axis=1).ravel()[j]
-        lo, dk, hi = _hermite(_inverse_cells(law, sigma, end, w, t, x, d), j, u)
+        u = (wk[1:-1] - w[j]) / np.diff(w)[j]
         tk = mass * wk**sigma
-        inner = tk[:, 1:-1]
-        xk = _newton(
-            law,
-            np.concatenate((inner[0], 1.0 - inner[1])),
-            np.concatenate((1.0 - inner[0], inner[1])),
-            *_as_x(lo, dk, hi, np.arange(cells - 1, 2 * cells - 2)),
-        ).reshape(2, cells - 1)
+        xk = _newton(side, tk[1:-1], *_hermite(_inverse_cells(side, sigma, end, w, t, x), j, u))
         # the table: the knots at w = 0, 1/cells, ..., 1
-        x = np.concatenate((x[:, :1], xk, x[:, -1:]), axis=1)
-        d = x.copy()
-        d[1] = 1.0 - x[1]
-        d[:, -1] = width[:, 0]
-        self.cells = _inverse_cells(law, sigma, end, wk, tk, x, d)
+        self.cells = _inverse_cells(side, sigma, end, wk, tk, np.concatenate((x[:1], xk, x[-1:])))
 
-    def start(self, q: np.ndarray, qc: np.ndarray):
-        """Start x and bracket [lo, hi] of the root of I_x = q (1 - I_x =
-        qc above the split), from the table cell that w falls in.  The
-        sides are gathered by index, as in `_IncompleteBeta.tails`."""
+    def start(self, t: np.ndarray):
+        """Start x and bracket [lo, hi] of the root of I_x(p, q) = t, from
+        the table cell that w falls in."""
         cells = _INVERSE_CELLS
-        high = q > self.lower_mass
-        lower, upper = np.flatnonzero(~high), np.flatnonzero(high)
-        v = np.empty_like(q)
-        for i, side, t in ((0, lower, q), (1, upper, qc)):
-            v[side] = (t[side] * self.inv_mass[i]) ** (1.0 / self.sigma[i])
+        v = (t * self.inv_mass) ** (1.0 / self.sigma)
         v *= cells
         j = np.minimum(v.astype(np.intp), cells - 1)
-        u = v - j
-        j[upper] += cells
-        lo, d, hi = _hermite(self.cells, j, u)
-        for i, side, t in ((0, lower, q), (1, upper, qc)):
-            if self.tail_law[i] is not None:
-                inv_s, shift = self.tail_law[i]
-                first = side[j[side] == i * cells]
-                d[first] = np.minimum(np.exp(np.log(t[first]) * inv_s + shift), hi[first])
-        return _as_x(lo, d, hi, upper)
+        x, lo, hi = _hermite(self.cells, j, v - j)
+        if self.tail_law is not None:
+            inv_p, shift = self.tail_law
+            first = np.flatnonzero(j == 0)
+            x[first] = np.minimum(np.exp(np.log(t[first]) * inv_p + shift), hi[first])
+        return x, lo, hi
 
 
 def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
     """Invert the beta CDF at p in [0, 1], in place.
 
-    Each point starts from the inverse table of its side of the split
-    (`_InverseTable`, cached with the law), inside the bracket of its
-    cell, and `_newton` confirms it: one CDF pass and one Newton step
-    finish a point whose step is below `_QUANTILE_RTOL` times x and stays
-    in the bracket, as all but a few in a thousand do.  p = 0 and p = 1
-    map to exactly 0 and 1, and so does a p whose start rounds to 0 or 1.
+    A p up to the mass of the lower side is solved there at t = p, any
+    other on the upper side at t = 1 - p, whose root x stands for 1 - x:
+    the one place where the two sides meet.  `_Side.quantile` starts each
+    point from its side's inverse table, inside the bracket of its cell,
+    and `_newton` confirms it: one CDF pass and one Newton step finish all
+    but a few in a thousand.  p = 0 and p = 1 map to exactly 0 and 1, and
+    so does a p whose start rounds to an end.
 
-    The points go through the table and `_newton` in `_blocks`, so that
+    The points go through the tables and `_newton` in `_blocks`, so that
     their temporaries stay in cache, and each block's roots are written
     back into p, which the caller gives up.  Where both sides are
     Chebyshev series no root depends on the other points of its call, so
     the blocks do not move a draw.
     """
     law = _beta_law(a, b)
+    mass = law.lower.inverse.mass
     for span in _blocks(p.size):
         block = p[span]
-        todo = np.flatnonzero((block > 0.0) & (block < 1.0))
-        q = block[todo]
+        lower = np.flatnonzero((block > 0.0) & (block <= mass))
+        upper = np.flatnonzero((block > mass) & (block < 1.0))
+        t_lower, t_upper = block[lower], 1.0 - block[upper]
         np.copyto(block, block >= 1.0)  # 0 and 1 stay; -0.0 becomes +0.0
-        if todo.size:
-            qc = 1.0 - q
-            block[todo] = _newton(law, q, qc, *law.inverse.start(q, qc))
+        block[lower] = law.lower.quantile(t_lower)
+        block[upper] = 1.0 - law.upper.quantile(t_upper)
     return p
 
 
@@ -763,8 +723,9 @@ class DistSpec:
         The beta law has no closed-form inverse: its CDF is inverted by
         Newton from a cached inverse table, safeguarded by the table's
         bracket, which stops once a step moves the root by less than 1e-13
-        of itself (of the smallest normal float for a subnormal root), with
-        p = 0 and p = 1 mapped to exactly 0 and 1.  Empirical
+        of its distance from 0 below the split (a+1)/(a+b+2) and from 1
+        above it (of the smallest normal float where that is subnormal),
+        with p = 0 and p = 1 mapped to exactly 0 and 1.  Empirical
         specs have no quantile; use `sample`, which bootstraps.
         """
         if self.family == "empirical":

@@ -20,7 +20,9 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import _CACHE_BLOCK, Cdf, _arcsine_kernel, _as_unit_array, _count, _empirical_kernel, _restore
+from .distributions import (
+    _CACHE_BLOCK, Cdf, DistSpec, _arcsine_kernel, _as_unit_array, _count, _empirical_kernel, _Owned, _restore,
+)
 from .errors import MonotonicityError, ParameterError, ResourceLimitError
 
 __all__ = [
@@ -260,7 +262,8 @@ def _grid_chain(values: np.ndarray, rr: float, grid: np.ndarray, u: np.ndarray):
 def _plan(base: Cdf, rr: float, n: int, first: int, strategy: str):
     """How the depths first..n of the base are evaluated, as
     (the strategy of depth n, a kernel that maps validated points arr to
-    the (n - first + 1,) + arr.shape array of their rows).
+    the (n - first + 1,) + arr.shape array of their rows, the law of
+    depth n where the plan knows it or None).
 
     This is the one place that decides between the strategies, on the
     law that `base.spec` names; depth 0 is the base itself.  "auto"
@@ -273,7 +276,8 @@ def _plan(base: Cdf, rr: float, n: int, first: int, strategy: str):
     ResourceLimitError instead of attempting a 2**n-fold evaluation.
     Under "auto" and "exact" an empirical base is pushed as its law:
     D_k is the step CDF of its samples pushed k times with the roundings
-    of `r * x * (1.0 - x)`, recorded as "exact" at any depth.
+    of `r * x * (1.0 - x)`, recorded as "exact" at any depth, and its
+    law is the empirical spec of those samples.
 
     The exact rows come from one traversal of `_pull`.  The grid chain
     on `DEFAULT_GRID_SIZE` intervals tabulates the base once, here, and
@@ -294,16 +298,18 @@ def _plan(base: Cdf, rr: float, n: int, first: int, strategy: str):
     # the first depth that `_pull` does not evaluate
     split = max(first, 1 if closed or image or strategy == "grid" else min(n, EXACT_ITERATION_LIMIT) + 1)
     resolved = "exact" if split > n or image else "closed-form" if closed else "grid"
+    law = base.spec if n == 0 else None
     if image:
-        samples, tables = base.spec.samples, []
+        samples, laws = base.spec.samples, []
         for k in range(1, n + 1):
             samples = rr * samples * (1.0 - samples)
             if k >= split:
-                tables.append(np.sort(samples))
+                laws.append(DistSpec("empirical", samples=_Owned(samples)))
+        law = laws[-1] if laws else law
 
         def deeper(arr: np.ndarray, out: np.ndarray) -> None:
-            for row, table in zip(out, tables):
-                row[...] = _empirical_kernel(table, arr)
+            for row, depth in zip(out, laws):
+                row[...] = _empirical_kernel(depth.samples, arr)
 
     elif resolved == "closed-form":
 
@@ -335,7 +341,7 @@ def _plan(base: Cdf, rr: float, n: int, first: int, strategy: str):
         deeper(arr, out[split - first :])
         return out
 
-    return resolved, kernel
+    return resolved, kernel, law
 
 
 def _as_cdf(F0) -> Cdf:
@@ -349,7 +355,10 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
 
     strategy is "auto", "exact" or "grid", as `_plan` describes; the
     result records the one it took.  n = 0 returns the base CDF
-    unchanged, recorded as "exact" whatever the strategy.  n must be an
+    unchanged, recorded as "exact" whatever the strategy.  The iterate's
+    `spec` is its law where the plan knows it: the base's at n = 0, and
+    the empirical spec of the pushed samples where an empirical base is
+    pushed as its law; None otherwise.  n must be an
     integer; a float or a string raises ParameterError.  The exact
     iterate's values are bit for bit those of the n-fold composition of
     `pushforward_cdf`; a grid iterate is built with its table.  To
@@ -359,16 +368,16 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     rr = validate_map_param(r)
     steps = _count(n, "iteration count", 0)
     base = _as_cdf(F0)
-    resolved, rows = _plan(base, rr, steps, steps, strategy)
+    resolved, rows, law = _plan(base, rr, steps, steps, strategy)
     if steps == 0:
-        return IterateCdf(base.fn, base.provenance, "exact", spec=base.spec)
+        return IterateCdf(base.fn, base.provenance, "exact", spec=law)
     tag, times = {
         "exact": (f"pushforward[r={rr:g}]", steps),
         "grid": (f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]", 1),
         "closed-form": (f"tent-closed-form[r=4,n={steps}]", 1),
     }[resolved]
     provenance = f"{tag}(" * times + base.provenance + ")" * times
-    return IterateCdf(lambda arr: rows(arr)[0], provenance, resolved)
+    return IterateCdf(lambda arr: rows(arr)[0], provenance, resolved, spec=law)
 
 
 def iterates(F0, r, n: int, y) -> np.ndarray:

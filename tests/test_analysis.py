@@ -74,6 +74,14 @@ class TestKsStatistic:
         spec = DistSpec("empirical", samples=np.array([0.2, 0.7]))
         assert ks_statistic(spec, spec.cdf()) == 0.0
 
+    def test_zero_against_the_iterate_of_its_atoms(self):
+        # the iterate of an empirical base carries the law of its pushed
+        # samples, whose atoms give the left limits; without it this read 1/3
+        atoms = np.array([0.1, 0.3, 0.75])
+        pushed = DistSpec("empirical", samples=4.0 * atoms * (1.0 - atoms))
+        iterate = iterate_pushforward(DistSpec("empirical", samples=atoms).cdf(), 4.0, 1)
+        assert ks_statistic(pushed, iterate) == 0.0
+
     def test_rejects_a_spec_without_samples(self):
         with pytest.raises(ParameterError):
             ks_statistic(DistSpec("uniform"), U)

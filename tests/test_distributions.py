@@ -230,17 +230,28 @@ class TestBetaCdf:
         assert np.array_equal(got.ravel(), cdf_beta(2.0, 3.0, y.ravel()))
 
     def test_interior_batch_equals_batch_with_endpoints(self):
-        # the endpoints go through the same formulas: front is 0 there
+        # the endpoints go through the same formulas: front is 0 there.
+        # x = 0 is the end of the lower side, x = 1 that of the upper side
         y = np.random.default_rng(5).random(1000)
         for a, b in [(0.5, 0.5), (2.5, 3.5)]:
             law = _beta_law(a, b)
-            with_ends = np.concatenate(([0.0], y, [1.0]))
-            tail, front, upper = law.tails(y)
-            tail_ends, front_ends, upper_ends = law.tails(with_ends)
-            assert np.array_equal(tail_ends[1:-1], tail) and np.array_equal(front_ends[1:-1], front)
-            assert np.array_equal(upper_ends, np.append(upper + 1, y.size + 1))
-            assert (tail_ends[0], tail_ends[-1], front_ends[0], front_ends[-1]) == (0.0, 0.0, 0.0, 0.0)
-            assert np.array_equal(law.cdf(with_ends)[[0, -1]], [0.0, 1.0])
+            above = y >= law.split
+            for side, u in ((law.lower, y[~above]), (law.upper, 1.0 - y[above])):
+                tail, front = side.tail(u)
+                tail_ends, front_ends = side.tail(np.append(0.0, u))
+                assert np.array_equal(tail_ends[1:], tail) and np.array_equal(front_ends[1:], front)
+                assert (tail_ends[0], front_ends[0]) == (0.0, 0.0)
+            cdf_ends = law.cdf(np.concatenate(([0.0], y, [1.0])))
+            assert np.array_equal(cdf_ends[1:-1], law.cdf(y))
+            assert np.array_equal(cdf_ends[[0, -1]], [0.0, 1.0])
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.05, 1e4), (1000.0, 0.5)])
+    def test_mirrored_laws_share_their_sides(self, a, b):
+        # the side of beta(a, b) above its split is that of beta(b, a)
+        # below its own, fitted once for both
+        assert _beta_law(a, b).upper is _beta_law(b, a).lower
+        assert _beta_law(a, b).lower is _beta_law(b, a).upper
+        assert _beta_law(a, a).lower is _beta_law(a, a).upper
 
     def test_nonconvergence_raises(self, monkeypatch):
         # starve the continued fraction of iterations; a silent wrong
@@ -412,6 +423,12 @@ class TestLentzLoop:
                 assert np.array_equal(_beta_continued_fraction(p, q, x, 1e-12, 300), want)
 
 
+def warm_tables(a, b):
+    """Build the inverse tables of both sides of beta(a, b)."""
+    law = _beta_law(a, b)
+    return law.lower.inverse, law.upper.inverse
+
+
 class TestBetaQuantile:
     @pytest.mark.parametrize("a, b", SHAPES)
     def test_matches_scipy(self, a, b):
@@ -430,37 +447,41 @@ class TestBetaQuantile:
 
     @staticmethod
     def cdf_passes_per_draw(monkeypatch, a, b, n=10_000):
-        _beta_law(a, b).inverse  # built once per (a, b): count the draws
+        warm_tables(a, b)  # built once per side: count the draws
         points = []
-        original = distributions._IncompleteBeta.tails
+        original = distributions._Side.tail
 
-        def counting(law, x):
+        def counting(side, x):
             points.append(x.size)
-            return original(law, x)
+            return original(side, x)
 
-        monkeypatch.setattr(distributions._IncompleteBeta, "tails", counting)
+        monkeypatch.setattr(distributions._Side, "tail", counting)
         sample(DistSpec("beta", a, b), n, 2024)
         return sum(points) / n
 
     @pytest.mark.parametrize(
         "a, b, calls",
-        [(2.5, 3.5, 4), (0.5, 0.5, 3), (0.05, 5.0, 4), (5.0, 0.2, 3), (20.0, 30.0, 4), (1000.0, 1000.0, 4)],
+        [(2.5, 3.5, 4), (0.5, 0.5, 3), (0.05, 5.0, 4), (5.0, 0.2, 3), (20.0, 30.0, 4), (1000.0, 1000.0, 4),
+         (0.05, 1e4, 5), (0.29, 5343.0, 5)],
     )
     def test_cdf_calls_per_table_build(self, monkeypatch, a, b, calls):
-        # one pass at the samples, then two or three Newton passes over the
-        # knots, with one call to spare; with a call at the split and a
-        # second pass of samples at uniform w these took 4 to 6 calls
+        # per side, one pass at the samples, then two or three Newton passes
+        # over the knots, with one call to spare; with a call at the split and
+        # a second pass of samples at uniform w these took 4 to 6 calls.  A
+        # continued-fraction side (the upper sides of the last two) took 41
+        # and 42 calls while Newton stopped at 1e-13 of x rather than of 1 - x
         law = _beta_law(a, b)
-        count = []
-        original = distributions._IncompleteBeta.tails
+        original = distributions._Side.tail
+        for side in (law.lower, law.upper):
+            count = []
 
-        def counting(law, x):
-            count.append(x.size)
-            return original(law, x)
+            def counting(side, x):
+                count.append(x.size)
+                return original(side, x)
 
-        monkeypatch.setattr(distributions._IncompleteBeta, "tails", counting)
-        distributions._InverseTable(law)
-        assert len(count) <= calls
+            monkeypatch.setattr(distributions._Side, "tail", counting)
+            distributions._InverseTable(side)
+            assert len(count) <= calls
 
     def test_cdf_passes_per_draw(self, monkeypatch):
         # started from the tail power laws, these draws took 4.2 passes each
@@ -495,6 +516,19 @@ class TestBetaQuantile:
         p = np.concatenate([1.0 - np.logspace(-16, -1, 400), [1.0 - 2.0**-53, 1.0 - 5.6e-16]])
         x = DistSpec("beta", a, b).quantile(p)
         assert np.max(np.abs(x - special.betaincinv(a, b, p))) <= 2e-14
+
+    @pytest.mark.parametrize("a, b", [(0.05, 15.0), (0.1, 30.0), (0.3, 90.0)])
+    def test_just_above_a_small_split(self, a, b):
+        # roots above the split are solved in 1 - x and stop at 1e-13 of it,
+        # which is over 1e-12 of x where the split is below 0.1; Newton's
+        # last step still leaves them at rounding level
+        law = _beta_law(a, b)
+        assert law.lower.coef is not None and law.upper.coef is not None and law.split < 0.07
+        mass = law.lower.inverse.mass
+        p = mass + np.logspace(-16, -1, 400) * (1.0 - mass)
+        x = DistSpec("beta", a, b).quantile(p)
+        expected = special.betaincinv(a, b, p)
+        assert np.max(np.abs(x / expected - 1.0)) <= 1e-12
 
     def test_subnormal_root_without_a_warning(self):
         # one root of these draws is 4.45e-320, where the density
@@ -534,7 +568,7 @@ class TestBetaQuantile:
     def test_raises_past_pass_bound(self, monkeypatch):
         # never an unconverged value: a start from the table is not
         # returned before a CDF pass confirms it
-        _beta_law(2.5, 3.5).inverse
+        warm_tables(2.5, 3.5)
         monkeypatch.setattr(distributions, "_QUANTILE_MAX_PASSES", 0)
         with pytest.raises(ConvergenceError):
             DistSpec("beta", 2.5, 3.5).quantile(np.array([0.1, 0.7]))
@@ -616,7 +650,7 @@ class TestBetaQuantile:
         # uniform draws 1.95
         n = 400_000
         spec = DistSpec("beta", 2.5, 3.5)
-        _beta_law(2.5, 3.5).inverse
+        warm_tables(2.5, 3.5)
         assert traced_peak(lambda: sample(spec, n, 5)) <= 2.5 * (8 * n)
 
 

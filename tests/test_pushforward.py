@@ -156,6 +156,28 @@ class TestPushforward:
         y = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(pushed(y) - image(y))) <= 1e-12
 
+    def test_an_iterate_of_atoms_pushes_on_as_its_law(self):
+        # the iterate of an empirical base carries the empirical spec of its
+        # pushed samples, so one more push goes through the image rule and
+        # equals the base's depth-2 iterate bit for bit
+        atoms = np.array([0.1, 0.3, 0.75])
+        base = DistSpec("empirical", samples=atoms).cdf()
+        once, twice = (iterate_pushforward(base, 4.0, n) for n in (1, 2))
+        assert np.array_equal(once.spec.samples, np.sort(4.0 * atoms * (1.0 - atoms)))
+        again = iterate_pushforward(once, 4.0, 1)
+        y = np.sort(np.concatenate([twice.spec.samples, np.linspace(0.0, 1.0, 101)]))
+        assert np.array_equal(again(y), twice(y))
+        assert np.array_equal(again.spec.samples, twice.spec.samples)
+        assert iterate_pushforward(DistSpec("uniform").cdf(), 4.0, 1).spec is None
+
+    @pytest.mark.xfail(strict=True, reason="a step CDF without a spec takes F(lo) + 1 - F(hi), P(X > hi)")
+    def test_atoms_of_a_plain_step_cdf_map_to_the_image_law(self):
+        # the same step CDF without its spec goes through the recursion,
+        # which reads 1/3 at 0.75 where the image law gives 2/3
+        atoms = np.array([0.1, 0.3, 0.75])
+        plain = Cdf(DistSpec("empirical", samples=atoms).cdf().fn, "plain")
+        assert iterate_pushforward(plain, 4.0, 1)(0.75) == pytest.approx(2.0 / 3.0)
+
     @given(
         st.lists(unit_floats, min_size=1, max_size=8),
         st.lists(st.integers(min_value=1, max_value=4), min_size=8, max_size=8),
