@@ -30,7 +30,6 @@ from .errors import (
 from .pushforward import (
     DEFAULT_GRID_SIZE,
     EXACT_ITERATION_LIMIT,
-    IterateCdf,
     iterate_pushforward,
     iterates,
     preimage_pair,
@@ -57,7 +56,6 @@ __all__ = [
     "DomainError",
     "EXACT_ITERATION_LIMIT",
     "ErgodicRun",
-    "IterateCdf",
     "MonotonicityError",
     "NumericsError",
     "ParameterError",

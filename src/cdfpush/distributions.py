@@ -134,13 +134,16 @@ class Cdf:
 
     `spec` is the law, set by `DistSpec.cdf()` and by an iterate whose
     law the evaluation plan knows (see `iterate_pushforward`), and the
-    plan and the KS statistic route on it.  `dataclasses.replace(F, fn=...)`
-    keeps it, so the route follows the law and not the evaluator.
+    plan and the KS statistic route on it.  `strategy` records how
+    `iterate_pushforward` evaluated an iterate (None elsewhere); no
+    computation reads it.  `dataclasses.replace(F, fn=...)` keeps both,
+    so the route follows the law and not the evaluator.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     provenance: str
     spec: DistSpec | None = field(default=None, kw_only=True)
+    strategy: str | None = field(default=None, kw_only=True)
 
     def __call__(self, y):
         arr, scalar = _as_unit_array(y)
@@ -379,36 +382,6 @@ class _Side:
         return _newton(self, t, *self.inverse.start(t))
 
 
-class _IncompleteBeta:
-    """The regularized incomplete beta function I_x(a, b) of one (a, b):
-    the side `lower` of beta(a, b) below the split (a+1)/(a+b+2), and at
-    and above it 1 - the tail of `upper`, the lower side of beta(b, a),
-    at 1 - x.  When a = b the two are one object."""
-
-    def __init__(self, lower: _Side, upper: _Side):
-        self.lower, self.upper = lower, upper
-        self.split, self.ln_beta = lower.split, lower.ln_beta
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        """I_x at x in [0, 1].  front is formed from x once, by the lower
-        side; the sides are gathered by index (a boolean gather costs
-        several times more on the interleaved sides of random points), and
-        the upper side is flipped after the loop: flipping inside it took
-        7 % more time."""
-        flat = x.reshape(-1)
-        front = self.lower.front(flat)
-        above = flat >= self.split
-        lower, upper = np.flatnonzero(~above), np.flatnonzero(above)
-        tail = np.empty_like(flat)
-        for index, side, u in ((lower, self.lower, flat[lower]), (upper, self.upper, 1.0 - flat[upper])):
-            v = front[index]
-            v *= side.h(u)
-            v /= side.p
-            tail[index] = v
-        tail[upper] = 1.0 - tail[upper]
-        return tail.reshape(x.shape)
-
-
 # A side's fit is paid once per process, for beta(a, b) and beta(b, a)
 # alike (2-core Xeon, NumPy 2.4): 0.4-0.6 ms a side for (0.5, 0.5) and
 # (2.5, 3.5), 2.7 ms for (1000, 1000), plus 1.1-1.5 ms for the first use of
@@ -424,8 +397,33 @@ def _side(p: float, q: float) -> _Side:
     return _Side(p, q)
 
 
-def _beta_law(a: float, b: float) -> _IncompleteBeta:
-    return _IncompleteBeta(_side(a, b), _side(b, a))
+def _beta_law(a: float, b: float) -> tuple[_Side, _Side]:
+    """The sides (lower, upper) of beta(a, b); one object when a = b."""
+    return _side(a, b), _side(b, a)
+
+
+def _beta_kernel(lower: _Side, upper: _Side, arr: np.ndarray) -> np.ndarray:
+    """I_x(a, b) at x = arr in [0, 1] from the sides of `_beta_law(a, b)`:
+    the tail of lower below the split, and 1 - the tail of upper at 1 - x
+    at and above it.  front is formed from x once, by the lower side; the
+    sides are gathered by index (a boolean gather costs several times more
+    on the interleaved sides of random points), and the upper side is
+    flipped after the loop: flipping inside it took 7 % more time.  Each
+    tail is capped at 1 before the flip: at shapes of 1e-16 and below, the
+    rounding of ln B(a, b) lifts a tail above 1 by up to 8e-14."""
+    flat = arr.reshape(-1)
+    front = lower.front(flat)
+    above = flat >= lower.split
+    below, above = np.flatnonzero(~above), np.flatnonzero(above)
+    tail = np.empty_like(flat)
+    for index, side, u in ((below, lower, flat[below]), (above, upper, 1.0 - flat[above])):
+        v = front[index]
+        v *= side.h(u)
+        v /= side.p
+        tail[index] = v
+    np.minimum(tail, 1.0, out=tail)
+    tail[above] = 1.0 - tail[above]
+    return tail.reshape(arr.shape)
 
 
 def cdf_beta(alpha, beta, y):
@@ -440,7 +438,7 @@ def cdf_beta(alpha, beta, y):
     a = _positive_param(alpha, "alpha")
     b = _positive_param(beta, "beta")
     arr, scalar = _as_unit_array(y)
-    return _restore(_beta_law(a, b).cdf(arr), scalar)
+    return _restore(_beta_kernel(*_beta_law(a, b), arr), scalar)
 
 
 def _newton(side: _Side, t, x, lo, hi) -> np.ndarray:
@@ -602,16 +600,16 @@ def _beta_quantile(a: float, b: float, p: np.ndarray) -> np.ndarray:
     Chebyshev series no root depends on the other points of its call, so
     the blocks do not move a draw.
     """
-    law = _beta_law(a, b)
-    mass = law.lower.inverse.mass
+    lower, upper = _beta_law(a, b)
+    mass = lower.inverse.mass
     for span in _blocks(p.size):
         block = p[span]
-        lower = np.flatnonzero((block > 0.0) & (block <= mass))
-        upper = np.flatnonzero((block > mass) & (block < 1.0))
-        t_lower, t_upper = block[lower], 1.0 - block[upper]
+        below = np.flatnonzero((block > 0.0) & (block <= mass))
+        above = np.flatnonzero((block > mass) & (block < 1.0))
+        t_below, t_above = block[below], 1.0 - block[above]
         np.copyto(block, block >= 1.0)  # 0 and 1 stay; -0.0 becomes +0.0
-        block[lower] = law.lower.quantile(t_lower)
-        block[upper] = 1.0 - law.upper.quantile(t_upper)
+        block[below] = lower.quantile(t_below)
+        block[above] = 1.0 - upper.quantile(t_above)
     return p
 
 
@@ -709,7 +707,7 @@ class DistSpec:
         if self.family == "kumaraswamy":
             kernel = functools.partial(_kumaraswamy_kernel, self.alpha, self.beta)
         elif self.family == "beta":
-            kernel = _beta_law(self.alpha, self.beta).cdf
+            kernel = functools.partial(_beta_kernel, *_beta_law(self.alpha, self.beta))
         elif self.family == "empirical":
             kernel = functools.partial(_empirical_kernel, self.samples)
         else:

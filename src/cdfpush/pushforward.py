@@ -15,7 +15,6 @@ every depth through the map's conjugacy with the tent map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -28,7 +27,6 @@ from .errors import MonotonicityError, ParameterError, ResourceLimitError
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "EXACT_ITERATION_LIMIT",
-    "IterateCdf",
     "iterate_pushforward",
     "iterates",
     "preimage_pair",
@@ -163,7 +161,7 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     return out
 
 
-def pushforward_cdf(F, r) -> IterateCdf:
+def pushforward_cdf(F, r) -> Cdf:
     """One exact pushforward of the CDF F (any callable CDF; evaluation
     failures inside F propagate) through the map with parameter r:
     `iterate_pushforward(F, r, 1, strategy="exact")`."""
@@ -188,20 +186,6 @@ def _settle(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     np.maximum.accumulate(values, out=values)
     values[-1] = 1.0
     return values
-
-
-@dataclass(frozen=True)
-class IterateCdf(Cdf):
-    """The n-fold pushforward of a base CDF, realized as a `Cdf`.
-
-    `strategy` records how `_plan` evaluates it: "exact" (the recursion
-    over the preimage tree, or the pushed samples of an empirical base;
-    at n = 0 the base itself), "grid" (the grid chain on the standard
-    grid) or "closed-form" (the tent-map closed form of the uniform start
-    at r = 4).
-    """
-
-    strategy: str
 
 
 def _tent_uniform(u: np.ndarray, n: int) -> np.ndarray:
@@ -350,11 +334,15 @@ def _as_cdf(F0) -> Cdf:
     return Cdf(lambda arr: np.asarray(F0(arr), dtype=float), "callable")
 
 
-def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
+def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> Cdf:
     """Propagate the CDF F0 forward n steps through the map.
 
-    strategy is "auto", "exact" or "grid", as `_plan` describes; the
-    result records the one it took.  n = 0 returns the base CDF
+    strategy is "auto", "exact" or "grid", as `_plan` describes.  The
+    result is a `Cdf` whose `strategy` records the one the plan took:
+    "exact" (the recursion over the preimage tree, or the pushed samples
+    of an empirical base; at n = 0 the base itself), "grid" (the grid
+    chain on the standard grid) or "closed-form" (the tent-map closed
+    form of the uniform start at r = 4).  n = 0 returns the base CDF
     unchanged, recorded as "exact" whatever the strategy.  The iterate's
     `spec` is its law where the plan knows it: the base's at n = 0, and
     the empirical spec of the pushed samples where an empirical base is
@@ -370,14 +358,14 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> IterateCdf:
     base = _as_cdf(F0)
     resolved, rows, law = _plan(base, rr, steps, steps, strategy)
     if steps == 0:
-        return IterateCdf(base.fn, base.provenance, "exact", spec=law)
+        return Cdf(base.fn, base.provenance, spec=law, strategy="exact")
     tag, times = {
         "exact": (f"pushforward[r={rr:g}]", steps),
         "grid": (f"pushforward-grid[r={rr:g},n={steps},m={DEFAULT_GRID_SIZE}]", 1),
         "closed-form": (f"tent-closed-form[r=4,n={steps}]", 1),
     }[resolved]
     provenance = f"{tag}(" * times + base.provenance + ")" * times
-    return IterateCdf(lambda arr: rows(arr)[0], provenance, resolved, spec=law)
+    return Cdf(lambda arr: rows(arr)[0], provenance, spec=law, strategy=resolved)
 
 
 def iterates(F0, r, n: int, y) -> np.ndarray:

@@ -29,7 +29,7 @@ from cdfpush import (
     standard_grid,
 )
 from cdfpush import distributions
-from cdfpush.distributions import _beta_continued_fraction, _beta_law
+from cdfpush.distributions import _beta_continued_fraction, _beta_kernel, _beta_law
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 shape_params = st.floats(min_value=0.25, max_value=4.0)
@@ -55,7 +55,7 @@ def mpmath_betainc(a, b):
     """Points across [0, 1] (both tails, the split, the bulk), I_y(a, b) at
     40 digits, and the tail the library evaluates there: I_y below the
     split, 1 - I_y at and above it."""
-    split = _beta_law(a, b).split
+    split = _beta_law(a, b)[0].split
     sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
     y = np.concatenate([
         [0.0, 5e-324, 1.0],
@@ -234,24 +234,35 @@ class TestBetaCdf:
         # x = 0 is the end of the lower side, x = 1 that of the upper side
         y = np.random.default_rng(5).random(1000)
         for a, b in [(0.5, 0.5), (2.5, 3.5)]:
-            law = _beta_law(a, b)
-            above = y >= law.split
-            for side, u in ((law.lower, y[~above]), (law.upper, 1.0 - y[above])):
+            lower, upper = _beta_law(a, b)
+            above = y >= lower.split
+            for side, u in ((lower, y[~above]), (upper, 1.0 - y[above])):
                 tail, front = side.tail(u)
                 tail_ends, front_ends = side.tail(np.append(0.0, u))
                 assert np.array_equal(tail_ends[1:], tail) and np.array_equal(front_ends[1:], front)
                 assert (tail_ends[0], front_ends[0]) == (0.0, 0.0)
-            cdf_ends = law.cdf(np.concatenate(([0.0], y, [1.0])))
-            assert np.array_equal(cdf_ends[1:-1], law.cdf(y))
+            cdf_ends = _beta_kernel(lower, upper, np.concatenate(([0.0], y, [1.0])))
+            assert np.array_equal(cdf_ends[1:-1], _beta_kernel(lower, upper, y))
             assert np.array_equal(cdf_ends[[0, -1]], [0.0, 1.0])
+
+    @pytest.mark.parametrize("a, b", [(1e-16, 1.0), (1.0, 1e-16), (1e-300, 2.5), (2.5, 1e-300)])
+    def test_stays_inside_the_unit_interval_for_tiny_shapes(self, a, b):
+        # ln B(a, b) ~ -ln a carries its rounding, up to 8e-14 at a = 1e-300,
+        # into the front factor: uncapped, a side's tail rose above 1, and
+        # the CDF above 1 below the split or below 0 above it
+        y = np.concatenate([
+            np.linspace(0.0, 1.0, 100_001), np.logspace(-300, -1, 2000), 1.0 - np.logspace(-16, -1, 2000),
+        ])
+        for values in (cdf_beta(a, b, y), DistSpec("beta", a, b).cdf()(y)):
+            assert values.min() >= 0.0 and values.max() <= 1.0
 
     @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.05, 1e4), (1000.0, 0.5)])
     def test_mirrored_laws_share_their_sides(self, a, b):
         # the side of beta(a, b) above its split is that of beta(b, a)
         # below its own, fitted once for both
-        assert _beta_law(a, b).upper is _beta_law(b, a).lower
-        assert _beta_law(a, b).lower is _beta_law(b, a).upper
-        assert _beta_law(a, a).lower is _beta_law(a, a).upper
+        assert _beta_law(a, b)[1] is _beta_law(b, a)[0]
+        assert _beta_law(a, b)[0] is _beta_law(b, a)[1]
+        assert _beta_law(a, a)[0] is _beta_law(a, a)[1]
 
     def test_nonconvergence_raises(self, monkeypatch):
         # starve the continued fraction of iterations; a silent wrong
@@ -259,7 +270,7 @@ class TestBetaCdf:
         with pytest.raises(ConvergenceError):
             _beta_continued_fraction(0.5, 0.5, np.array([0.3]), 1e-12, 1)
         # the side of (1000, 1/2) below its split takes the fallback
-        assert _beta_law(1000.0, 0.5).lower.coef is None
+        assert _beta_law(1000.0, 0.5)[0].coef is None
         monkeypatch.setattr(distributions, "_BETA_CF_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             cdf_beta(1000.0, 0.5, 0.99)
@@ -278,9 +289,9 @@ class TestBetaCdf:
 
     @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES + [(1000.0, 1000.0)])
     def test_every_side_is_a_chebyshev_series(self, a, b):
-        law = _beta_law(a, b)
-        assert law.lower.coef is not None and law.upper.coef is not None
-        assert max(law.lower.coef.size, law.upper.coef.size) <= 80
+        lower, upper = _beta_law(a, b)
+        assert lower.coef is not None and upper.coef is not None
+        assert max(lower.coef.size, upper.coef.size) <= 80
 
     @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES + [(100.0, 100.0), (1000.0, 1000.0)])
     def test_against_mpmath(self, a, b):
@@ -291,7 +302,7 @@ class TestBetaCdf:
         got = cdf_beta(a, b, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             condition = 1.0 + np.nan_to_num(np.abs(a * np.log(y)) + np.abs(b * np.log1p(-y)), posinf=0.0)
-        condition += abs(_beta_law(a, b).ln_beta)
+        condition += abs(_beta_law(a, b)[0].ln_beta)
         bound = 16 * np.finfo(float).eps * condition * side_tail
         assert np.all(np.abs(got - expected) <= np.maximum(bound, 0.5 * np.spacing(expected)))
 
@@ -300,8 +311,8 @@ class TestBetaCdf:
         # Chebyshev series of degree 256 captures it, so it takes the
         # continued fraction, run to 1e-12
         a, b = 1000.0, 0.5
-        law = _beta_law(a, b)
-        assert law.lower.coef is None and law.upper.coef is not None
+        lower, upper = _beta_law(a, b)
+        assert lower.coef is None and upper.coef is not None
         y, expected, _ = mpmath_betainc(a, b)
         assert np.max(np.abs(cdf_beta(a, b, y) - expected)) <= 1e-12
 
@@ -338,7 +349,7 @@ class TestLogBeta:
     def error(a, b):
         with mpmath.workdps(40):
             exact = mpmath.log(mpmath.beta(a, b))
-            return float(abs(_beta_law(a, b).ln_beta - exact) / max(1, abs(exact)))
+            return float(abs(_beta_law(a, b)[0].ln_beta - exact) / max(1, abs(exact)))
 
     @pytest.mark.parametrize(
         "a, b", [(1000.0, 1000.0), (8.0, 8.0), (8.0, 1e4), (4790.7411155106165, 512.365266581618),
@@ -351,7 +362,7 @@ class TestLogBeta:
     def test_within_two_ulps_when_both_shapes_are_large(self, a, b):
         with mpmath.workdps(40):
             exact = mpmath.log(mpmath.beta(a, b))
-            assert abs(_beta_law(a, b).ln_beta - exact) <= 2 * np.spacing(abs(float(exact)))
+            assert abs(_beta_law(a, b)[0].ln_beta - exact) <= 2 * np.spacing(abs(float(exact)))
 
     @given(large_shapes, large_shapes)
     def test_against_mpmath_when_a_shape_is_large(self, a, b):
@@ -361,7 +372,7 @@ class TestLogBeta:
     @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.5, 0.5)])
     def test_small_shapes_keep_lgamma(self, a, b):
         # the difference of lgamma values is right to rounding there
-        assert _beta_law(a, b).ln_beta == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        assert _beta_law(a, b)[0].ln_beta == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         assert self.error(a, b) <= 1e-15
 
     def test_cdf_in_the_bulk_of_a_large_symmetric_law(self):
@@ -425,8 +436,8 @@ class TestLentzLoop:
 
 def warm_tables(a, b):
     """Build the inverse tables of both sides of beta(a, b)."""
-    law = _beta_law(a, b)
-    return law.lower.inverse, law.upper.inverse
+    lower, upper = _beta_law(a, b)
+    return lower.inverse, upper.inverse
 
 
 class TestBetaQuantile:
@@ -470,9 +481,8 @@ class TestBetaQuantile:
         # a second pass of samples at uniform w these took 4 to 6 calls.  A
         # continued-fraction side (the upper sides of the last two) took 41
         # and 42 calls while Newton stopped at 1e-13 of x rather than of 1 - x
-        law = _beta_law(a, b)
         original = distributions._Side.tail
-        for side in (law.lower, law.upper):
+        for side in _beta_law(a, b):
             count = []
 
             def counting(side, x):
@@ -522,9 +532,9 @@ class TestBetaQuantile:
         # roots above the split are solved in 1 - x and stop at 1e-13 of it,
         # which is over 1e-12 of x where the split is below 0.1; Newton's
         # last step still leaves them at rounding level
-        law = _beta_law(a, b)
-        assert law.lower.coef is not None and law.upper.coef is not None and law.split < 0.07
-        mass = law.lower.inverse.mass
+        lower, upper = _beta_law(a, b)
+        assert lower.coef is not None and upper.coef is not None and lower.split < 0.07
+        mass = lower.inverse.mass
         p = mass + np.logspace(-16, -1, 400) * (1.0 - mass)
         x = DistSpec("beta", a, b).quantile(p)
         expected = special.betaincinv(a, b, p)
@@ -583,12 +593,12 @@ class TestBetaQuantile:
         # takes when no series fits it is itself ~2e-12 off (see
         # test_continued_fraction_side_limits_the_quantile), so the shapes
         # are those whose sides are both series.
-        law = _beta_law(a, b)
-        assume(law.lower.coef is not None and law.upper.coef is not None)
+        lower, upper = _beta_law(a, b)
+        assume(lower.coef is not None and upper.coef is not None)
         p = np.array(p + [1e-300, 1.0 - 2.0**-53])
         x = DistSpec("beta", a, b).quantile(p)
         slack = 1e-12 * np.maximum(x, np.finfo(float).tiny)
-        split = _beta_law(a, b).split
+        split = lower.split
         with mpmath.workdps(40):
             for pi, lo, hi in zip(p, np.maximum(x - slack, 0.0), np.minimum(x + slack, 1.0)):
                 assert mpmath_cdf(a, b, split, lo) <= pi <= mpmath_cdf(a, b, split, hi)
@@ -599,12 +609,12 @@ class TestBetaQuantile:
         # 1 - I at the draw for p = 0.99 is 3.4e-12 off mpmath even when
         # run to rounding level; the draw lands 2.5e-12 from its root
         a, b, p = 0.05, 1e4, 0.99
-        law = _beta_law(a, b)
-        assert law.upper.coef is None
+        lower, upper = _beta_law(a, b)
+        assert upper.coef is None
         x = DistSpec("beta", a, b).quantile(p)
         slack = 1e-12 * x
         with mpmath.workdps(40):
-            assert mpmath_cdf(a, b, law.split, x - slack) <= p <= mpmath_cdf(a, b, law.split, x + slack)
+            assert mpmath_cdf(a, b, lower.split, x - slack) <= p <= mpmath_cdf(a, b, lower.split, x + slack)
 
     @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES)
     @given(st.lists(unit_floats, min_size=1, max_size=64), st.data())
@@ -617,8 +627,8 @@ class TestBetaQuantile:
     def test_blocks_do_not_move_a_draw(self, monkeypatch, a, b):
         # the same bits whole, in blocks, and in arbitrary splits, with one
         # block and with several
-        law = _beta_law(a, b)
-        assert law.lower.coef is not None and law.upper.coef is not None
+        lower, upper = _beta_law(a, b)
+        assert lower.coef is not None and upper.coef is not None
         spec = DistSpec("beta", a, b)
         block = distributions._CACHE_BLOCK
         rng = np.random.default_rng(19)
