@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .distributions import Cdf, DistSpec, _count
-from .errors import ParameterError
+from .errors import NumericsError, ParameterError
 from .pushforward import (
     DEFAULT_GRID_SIZE,
     MONOTONICITY_TOLERANCE,
@@ -25,9 +25,6 @@ __all__ = [
 
 # asymptotic critical values of the one-sample KS statistic, scaled by 1/sqrt(n)
 _KS_CRITICAL = {0.95: 1.36, 0.99: 1.63}
-# `ks_statistic` first evaluates the reference at every _KS_STRIDE-th sorted
-# sample; monotonicity bounds the terms of the samples between
-_KS_STRIDE = 16
 
 
 def ks_band(n: int, confidence: float = 0.99) -> float:
@@ -62,48 +59,81 @@ def ks_statistic(empirical: DistSpec, F) -> float:
     the largest of (i+1)/n - F(x_i) and F(x_i-) - i/n, with the left limit
     F(x_i-) from the atoms of a reference `Cdf` whose spec is empirical and
     F(x_i) itself for any other reference.  F is monotone, so most samples
-    cannot carry the supremum, and F is called at most twice and sees each
-    sample at most once:
+    cannot carry the supremum; F sees each sample at most once, on a ladder
+    of rungs:
 
-    1. F is evaluated at every 16th sample and the last one.
+    1. The first rung evaluates F at every s-th sample and the last one,
+       where s is the largest power of 4 not above sqrt(n).  A gap of s
+       samples widens the bound below by s/n, and the statistic scales like
+       1/sqrt(n), so a coarser first rung would leave nearly every gap open.
     2. Between adjacent evaluated indices a < b, every sample i has
        (i+1)/n - F(x_i) <= b/n - F(x_a) and F(x_i-) - i/n <= F(x_b) - (a+1)/n.
-       F is evaluated at the samples of every gap whose bound exceeds the
-       maximum so far minus `MONOTONICITY_TOLERANCE`, the slack that covers
-       rounding dips in a computed CDF.  If the values of step 1 decrease
-       anywhere by more than that slack, the bound does not hold and every
-       remaining sample is evaluated.
+       Each further rung divides s by 4 and evaluates F at the multiples of
+       s inside every gap whose bound exceeds the maximum so far minus
+       `MONOTONICITY_TOLERANCE`, the slack that covers rounding dips in a
+       computed CDF; at s = 1 that is the rest of the gap.  If the values
+       evaluated so far decrease anywhere by more than that slack, the
+       bound does not hold and every remaining sample goes to one final call.
+
+    Raises `NumericsError` if F returns a value that is not finite.
     """
-    x = empirical.samples
+    x = empirical.samples if isinstance(empirical, DistSpec) else None
     if x is None:
-        raise ParameterError(f"the KS statistic needs an empirical spec; got {empirical.label}")
+        label = empirical.label if isinstance(empirical, DistSpec) else type(empirical).__name__
+        raise ParameterError(f"the KS statistic needs an empirical spec; got {label}")
     n = x.size
     spec = F.spec if isinstance(F, Cdf) else None
     atoms = spec.samples if spec is not None and spec.family == "empirical" else None
 
-    def terms_max(i: np.ndarray, fx: np.ndarray) -> float:
-        # the largest KS term (i+1)/n - F(x_i) or F(x_i-) - i/n over the
-        # 0-based sample indices i with reference values fx
+    def evaluate(i: np.ndarray) -> tuple[np.ndarray, float]:
+        # F at the samples of the 0-based sorted indices i, and the largest
+        # KS term (i+1)/n - F(x_i) or F(x_i-) - i/n over them
+        fx = np.asarray(F(x[i]), dtype=float)
+        if not np.isfinite(fx).all():
+            raise NumericsError("the KS reference returned a value that is not finite")
         left = fx if atoms is None else np.searchsorted(atoms, x[i], side="left") / atoms.size
-        return float(max(np.max((i + 1) / n - fx), np.max(left - i / n)))
+        return fx, float(max(np.max((i + 1) / n - fx), np.max(left - i / n)))
 
-    probe = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
-    f_probe = np.asarray(F(x[probe]), dtype=float)
-    stat = terms_max(probe, f_probe)
-    a, b = probe[:-1], probe[1:]
-    f_a, f_b = f_probe[:-1], f_probe[1:]
-    if np.all(f_b - f_a >= -MONOTONICITY_TOLERANCE):
-        bound = np.maximum(b / n - f_a, f_b - (a + 1) / n)
-        open_gaps = bound > stat - MONOTONICITY_TOLERANCE
-    else:
-        open_gaps = np.ones(a.size, dtype=bool)
-    # every index of an open gap [a, b), less the probe a already evaluated
-    in_open_gap = np.repeat(open_gaps, b - a)
-    in_open_gap[a] = False
-    rest = np.flatnonzero(in_open_gap)
-    if rest.size:
-        stat = max(stat, terms_max(rest, np.asarray(F(x[rest]), dtype=float)))
-    return stat
+    s = 4 ** ((math.isqrt(n).bit_length() - 1) // 2)
+    idx = np.append(np.arange(0, n - 1, s), n - 1)
+    f, stat = evaluate(idx)
+    seen = [idx]
+    # the gaps (a, b) between adjacent evaluated samples, with F at their ends
+    a, b, fa, fb = idx[:-1], idx[1:], f[:-1], f[1:]
+    while np.all(fb - fa >= -MONOTONICITY_TOLERANCE):
+        # a gap stays open while its bound may reach the statistic and it
+        # holds a sample that F has not seen
+        is_open = (np.maximum(b / n - fa, fb - (a + 1) / n) > stat - MONOTONICITY_TOLERANCE) & (b - a > 1)
+        a, b, fa, fb = a[is_open], b[is_open], fa[is_open], fb[is_open]
+        if not a.size:
+            return stat
+        s = max(s // 4, 1)
+        # the multiples of s strictly inside each open gap split it
+        first = (a // s + 1) * s
+        count = (b - first + s - 1) // s
+        end = np.cumsum(count)
+        new = np.repeat(first - s * (end - count), count) + s * np.arange(end[-1])
+        if new.size:
+            f_new, stat_new = evaluate(new)
+            stat = max(stat, stat_new)
+            seen.append(new)
+            # each gap's start goes before its new samples and its end after
+            a, fa = _interleave(a, fa, new, f_new, end - count + np.arange(a.size))
+            b, fb = _interleave(b, fb, new, f_new, end + np.arange(b.size))
+    rest = np.setdiff1d(np.arange(n), np.concatenate(seen), assume_unique=True)
+    return max(stat, evaluate(rest)[1]) if rest.size else stat
+
+
+def _interleave(keys, values, new_keys, new_values, at):
+    """`keys` placed at the positions `at` of a longer array, and `new_keys`
+    in the remaining positions in order, with their values likewise: what
+    `np.insert` does, for a fraction of its fixed cost."""
+    rest = np.ones(keys.size + new_keys.size, dtype=bool)
+    rest[at] = False
+    out_keys, out_values = np.empty(rest.size, dtype=keys.dtype), np.empty(rest.size)
+    out_keys[at], out_keys[rest] = keys, new_keys
+    out_values[at], out_values[rest] = values, new_values
+    return out_keys, out_values
 
 
 def fixed_point_residual(F, r, m: int = DEFAULT_GRID_SIZE) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from cdfpush import (
     DistSpec,
+    NumericsError,
     ParameterError,
     convergence_table,
     ensemble_push,
@@ -86,6 +87,31 @@ class TestKsStatistic:
         with pytest.raises(ParameterError):
             ks_statistic(DistSpec("uniform"), U)
 
+    @pytest.mark.parametrize(
+        "empirical", [np.array([0.2, 0.7]), [0.2, 0.7], U], ids=["array", "list", "cdf"]
+    )
+    def test_rejects_what_is_not_a_spec(self, empirical):
+        # raised AttributeError on `.samples`
+        with pytest.raises(ParameterError, match="empirical spec"):
+            ks_statistic(empirical, U)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["first", "later"])
+    def test_rejects_a_non_finite_reference(self, bad, where):
+        # a NaN at the first call read as a KS value of nan, and one that
+        # first appeared in a later call was dropped by max(stat, nan)
+        calls = []
+
+        def broken(y):
+            calls.append(y)
+            y = np.asarray(y, dtype=float)
+            return np.where(y > 0.5, bad, y) if where == "first" or len(calls) > 1 else y
+
+        emp = DistSpec("empirical", samples=sample(DistSpec("uniform"), 20_000, 4))
+        with pytest.raises(NumericsError, match="not finite"):
+            ks_statistic(emp, broken)
+        assert len(calls) == (1 if where == "first" else 2)
+
     def test_aligned_quantiles(self):
         # samples at the (i - 1/2)/n quantiles give exactly 1/(2n)
         n = 500
@@ -140,13 +166,15 @@ EMPIRICAL_REF = EMPIRICAL_SPEC.cdf()
 
 class TestKsBracketing:
     """`ks_statistic` evaluates the reference only where monotonicity lets
-    the supremum lie; it must give the full-evaluation statistic."""
+    the supremum lie, on a ladder of ever finer rungs; it must give the
+    full-evaluation statistic."""
 
     @pytest.mark.parametrize(
         "F", [U, A, K_HALF, K23, EMPIRICAL_REF], ids=["uniform", "arcsine", "kum-half", "kum23", "empirical"]
     )
     @pytest.mark.parametrize("draw", ["uniform", "kumaraswamy:2,3"])
-    @pytest.mark.parametrize("n", [1, 16, 17, 1000, 20_000])
+    # sqrt(n) crosses a power of 4, and so the first rung's stride, at n = 16**k
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 1000, 4095, 4096, 4097, 20_000])
     def test_equals_full_evaluation(self, F, draw, n):
         emp = DistSpec("empirical", samples=sample(DistSpec.parse(draw), n, n))
         assert ks_statistic(emp, F) == ks_full(emp, F, step=F is EMPIRICAL_REF)
@@ -207,14 +235,41 @@ class TestKsBracketing:
         assert ks_full(emp, U) == 16 / 33 - 0.01
         assert ks_statistic(emp, U) == 16 / 33 - 0.01
 
-    def test_two_calls_on_a_small_share_of_the_samples(self):
+    def test_supremum_in_a_gap_finer_than_the_rung(self):
+        # n = 259: the first rung probes every 16th sample and the last, so
+        # the last gap (256, 258) holds no multiple of 4 but holds sample
+        # 257, whose d+ term 58/259 is the statistic; every other gap closes
+        n = 259
+        x = np.concatenate([(np.arange(200) + 0.5) / n, np.full(58, 200 / n), [1.0]])
+        emp = DistSpec("empirical", samples=x)
+        assert ks_full(emp, U) == pytest.approx(58 / n, abs=1e-15)
+        assert ks_statistic(emp, U) == ks_full(emp, U)
+
+    def test_four_calls_on_a_small_share_of_the_samples(self):
+        # rungs at every 64th, 16th and 4th sample, then the rest of the
+        # open gaps: 674 points in 4 calls
         n = 20_000
         emp = ensemble_push(BETA, 3.7, 8, n, 2011)
         F = CountingCdf(iterate_pushforward(BETA.cdf(), 3.7, 8))
         ks = ks_statistic(emp, F)
-        assert len(F.calls) <= 2
-        assert sum(F.calls) <= 0.12 * n
+        assert len(F.calls) <= 4
+        assert sum(F.calls) <= 0.05 * n
         assert abs(ks - ks_full(emp, F.F)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [20, 300, 5000, 20_000])
+    def test_no_sample_is_evaluated_twice(self, n):
+        seen = []
+
+        def spy(y):
+            seen.append(np.array(y, dtype=float))
+            return A(y)
+
+        x = sample(DistSpec("kumaraswamy", 2.0, 3.0), n, 9)
+        assert np.unique(x).size == n  # no ties, so a repeated input is a repeated sample
+        emp = DistSpec("empirical", samples=x)
+        assert ks_statistic(emp, spy) == ks_full(emp, A)
+        inputs = np.concatenate(seen)
+        assert np.unique(inputs).size == inputs.size
 
     def test_a_dipping_reference_gets_every_sample(self):
         # drops by 0.01 at 1/2: the probed values decrease there by far more
