@@ -68,10 +68,12 @@ def ks_statistic(empirical: DistSpec, F) -> float:
        1/sqrt(n), so a coarser first rung would leave nearly every gap open.
     2. Between adjacent evaluated indices a < b, every sample i has
        (i+1)/n - F(x_i) <= b/n - F(x_a) and F(x_i-) - i/n <= F(x_b) - (a+1)/n.
-       Each further rung divides s by 4 and evaluates F at the multiples of
-       s inside every gap whose bound exceeds the maximum so far minus
+       A gap stays open while its bound exceeds the maximum so far minus
        `MONOTONICITY_TOLERANCE`, the slack that covers rounding dips in a
-       computed CDF; at s = 1 that is the rest of the gap.  If the values
+       computed CDF.  Each further rung divides s by 4, so an open gap
+       starts at a multiple of 4s and holds at most 4s samples; the rung
+       splits it in four at a + s, a + 2s and a + 3s, those below b, and
+       evaluates F there: at s = 1, the rest of the gap.  If the values
        evaluated so far decrease anywhere by more than that slack, the
        bound does not hold and every remaining sample goes to one final call.
 
@@ -107,33 +109,23 @@ def ks_statistic(empirical: DistSpec, F) -> float:
         a, b, fa, fb = a[is_open], b[is_open], fa[is_open], fb[is_open]
         if not a.size:
             return stat
-        s = max(s // 4, 1)
-        # the multiples of s strictly inside each open gap split it
-        first = (a // s + 1) * s
-        count = (b - first + s - 1) // s
-        end = np.cumsum(count)
-        new = np.repeat(first - s * (end - count), count) + s * np.arange(end[-1])
+        s //= 4
+        # every open gap starts at a multiple of 4s and holds at most 4s
+        # samples, so a + s, a + 2s and a + 3s, clipped to b, split it
+        cuts = np.minimum(a[:, None] + s * np.arange(1, 4), b[:, None])
+        f_cuts = np.repeat(fb[:, None], 3, axis=1)
+        inside = cuts < b[:, None]
+        new = cuts[inside]
         if new.size:
-            f_new, stat_new = evaluate(new)
+            f_cuts[inside], stat_new = evaluate(new)
             stat = max(stat, stat_new)
             seen.append(new)
-            # each gap's start goes before its new samples and its end after
-            a, fa = _interleave(a, fa, new, f_new, end - count + np.arange(a.size))
-            b, fb = _interleave(b, fb, new, f_new, end + np.arange(b.size))
+        # the rows (a, cuts, b) hold the next rung's gaps in order
+        ends, f_ends = np.column_stack((a, cuts, b)), np.column_stack((fa, f_cuts, fb))
+        a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        fa, fb = f_ends[:, :-1].ravel(), f_ends[:, 1:].ravel()
     rest = np.setdiff1d(np.arange(n), np.concatenate(seen), assume_unique=True)
     return max(stat, evaluate(rest)[1]) if rest.size else stat
-
-
-def _interleave(keys, values, new_keys, new_values, at):
-    """`keys` placed at the positions `at` of a longer array, and `new_keys`
-    in the remaining positions in order, with their values likewise: what
-    `np.insert` does, for a fraction of its fixed cost."""
-    rest = np.ones(keys.size + new_keys.size, dtype=bool)
-    rest[at] = False
-    out_keys, out_values = np.empty(rest.size, dtype=keys.dtype), np.empty(rest.size)
-    out_keys[at], out_keys[rest] = keys, new_keys
-    out_values[at], out_values[rest] = values, new_values
-    return out_keys, out_values
 
 
 def fixed_point_residual(F, r, m: int = DEFAULT_GRID_SIZE) -> float:

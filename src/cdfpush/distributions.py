@@ -761,7 +761,7 @@ def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
     bootstrap (resample with replacement from the stored samples).
     """
     count = _count(n, "sample count", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     if dist.family == "empirical":
         idx = rng.integers(0, dist.samples.size, size=count)
         return dist.samples[idx]

@@ -164,7 +164,8 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
 def pushforward_cdf(F, r) -> Cdf:
     """One exact pushforward of the CDF F (any callable CDF; evaluation
     failures inside F propagate) through the map with parameter r:
-    `iterate_pushforward(F, r, 1, strategy="exact")`."""
+    `iterate_pushforward(F, r, 1, strategy="exact")`, which says how the
+    atoms of a step CDF are honoured: only through its law."""
     return iterate_pushforward(F, r, 1, strategy="exact")
 
 
@@ -346,7 +347,11 @@ def iterate_pushforward(F0, r, n: int, strategy: str = "auto") -> Cdf:
     unchanged, recorded as "exact" whatever the strategy.  The iterate's
     `spec` is its law where the plan knows it: the base's at n = 0, and
     the empirical spec of the pushed samples where an empirical base is
-    pushed as its law; None otherwise.  n must be an
+    pushed as its law; None otherwise.  Atoms are honoured only through
+    a law: an empirical spec is pushed as the law of its pushed samples,
+    while a plain callable is read through its preimages lo <= hi as
+    F(lo) + 1 - F(hi), which takes P(X > hi) for P(X >= hi) and so is
+    wrong at an atom on an upper preimage.  n must be an
     integer; a float or a string raises ParameterError.  The exact
     iterate's values are bit for bit those of the n-fold composition of
     `pushforward_cdf`; a grid iterate is built with its table.  To

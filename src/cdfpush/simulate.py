@@ -188,7 +188,7 @@ def ergodic_empirical(r, total_steps, burn_in: int = DEFAULT_BURN_IN, seed: int 
     """
     rr = validate_map_param(r)
     steps = _count(total_steps, "total_steps", MIN_ERGODIC_STEPS)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     low, high = ERGODIC_X0_RANGE
     for _ in range(MAX_ERGODIC_RETRIES):
         x0 = low + (high - low) * float(rng.random())

@@ -147,6 +147,7 @@ def run_verification(
     items compare pushed ensembles against the operator at the given r.
     """
     _count(n_samples, "n_samples", MIN_ENSEMBLE_SAMPLES)
+    _count(seed, "seed", 0)  # each check below offsets it before its draw
     checks = [
         _check("one-step-closed-form", one_step_uniform_residual(r, grid), ONE_STEP_TOL),
         _check("two-step-kumaraswamy", two_step_uniform_residual(r, grid), TWO_STEP_TOL),

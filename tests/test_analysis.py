@@ -173,8 +173,9 @@ class TestKsBracketing:
         "F", [U, A, K_HALF, K23, EMPIRICAL_REF], ids=["uniform", "arcsine", "kum-half", "kum23", "empirical"]
     )
     @pytest.mark.parametrize("draw", ["uniform", "kumaraswamy:2,3"])
-    # sqrt(n) crosses a power of 4, and so the first rung's stride, at n = 16**k
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 1000, 4095, 4096, 4097, 20_000])
+    # sqrt(n) crosses a power of 4, and so the first rung's stride, at n = 16**k;
+    # at n = 2e5 the ladder runs five rungs, of stride 256 down to 1
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 1000, 4095, 4096, 4097, 20_000, 200_000])
     def test_equals_full_evaluation(self, F, draw, n):
         emp = DistSpec("empirical", samples=sample(DistSpec.parse(draw), n, n))
         assert ks_statistic(emp, F) == ks_full(emp, F, step=F is EMPIRICAL_REF)

@@ -311,6 +311,16 @@ class TestExitCodes:
         code, _, _ = run_cli(["bogus"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--mode", "ensemble"], ["simulate", "--mode", "orbit"], ["verify"]],
+        ids=["ensemble", "orbit", "verify"],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+        assert code == 2
+        assert out == "" and err == "error: seed must be >= 0; got -1\n"
+
     def test_orbit_too_short(self, capsys):
         code, _, _ = run_cli(["simulate", "--steps", "100"], capsys)
         assert code == 2

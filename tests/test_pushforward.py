@@ -902,6 +902,20 @@ COUNT_CASES = {
     "verify-samples-below": (lambda: run_verification(n_samples=99), "n_samples must be >= 100; got 99"),
     "cli-steps-below": (lambda: cli.cmd_iterate(cli.build_parser().parse_args(["iterate", "--steps", "-1"])),
                         "iteration count must be >= 0; got -1"),
+    # a seed is a count too: NumPy would raise its own ValueError or TypeError
+    "sample-seed": (lambda: sample(DistSpec("uniform"), 10, 1.5), "seed must be an integer; got 1.5"),
+    "sample-seed-str": (lambda: sample(DistSpec("uniform"), 10, "3"), "seed must be an integer; got '3'"),
+    "sample-seed-below": (lambda: sample(DistSpec("uniform"), 10, -1), "seed must be >= 0; got -1"),
+    "ensemble-seed": (lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 1000, 1.5), "seed must be an integer; got 1.5"),
+    "ensemble-seed-str": (lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 1000, "3"),
+                          "seed must be an integer; got '3'"),
+    "ensemble-seed-below": (lambda: ensemble_push(DistSpec("uniform"), 4.0, 1, 1000, -1), "seed must be >= 0; got -1"),
+    "ergodic-seed": (lambda: ergodic_empirical(4.0, 10_000, 100, 1.5), "seed must be an integer; got 1.5"),
+    "ergodic-seed-str": (lambda: ergodic_empirical(4.0, 10_000, 100, "3"), "seed must be an integer; got '3'"),
+    "ergodic-seed-below": (lambda: ergodic_empirical(4.0, 10_000, 100, -1), "seed must be >= 0; got -1"),
+    "verify-seed": (lambda: run_verification(seed=1.5), "seed must be an integer; got 1.5"),
+    "verify-seed-str": (lambda: run_verification(seed="3"), "seed must be an integer; got '3'"),
+    "verify-seed-below": (lambda: run_verification(seed=-1), "seed must be >= 0; got -1"),
 }
 
 
