@@ -114,7 +114,10 @@ def _pull(F, rr: float, n: int, arr: np.ndarray, rows: int = 1) -> np.ndarray:
     above the peak are exactly 1 at every depth >= 1.  While the pair
     holds at most `_CACHE_BLOCK` points, both branches go down as one
     array, lower branch first, so a whole level of a small tree costs
-    one base call; a larger pair recurses on each branch.  The base is
+    one base call; a larger pair recurses on each branch, so these split
+    branches hand the base the points of one half of the interval only,
+    [0, 1/2] or [1/2, 1] (a beta base evaluates a batch that lies
+    wholly on one side of its own split without splitting it).  The base is
     called at a node only when depth 0 is one of its rows, so with
     rows > 1 it receives exactly the arrays that the separate
     evaluation of each depth hands it, and each row is bit for bit that

@@ -277,11 +277,39 @@ class TestBetaCdf:
         # a side whose samples do not converge gets no series
         assert distributions._chebyshev_fit(2.5, 3.5, 3.5 / 8.0) is None
 
+    @pytest.mark.parametrize("a, b", [(2.5, 3.5), (3.5, 2.5), (0.5, 0.5), (1000.0, 1000.0)])
+    def test_one_sided_batch_runs_only_its_side(self, a, b, monkeypatch):
+        # a batch wholly below the split (with x = 0) or wholly at and above
+        # it (with the split and x = 1) runs one side's series, on the batch
+        # itself or on 1 - x: no call of the other side on an empty array
+        lower, upper = _beta_law(a, b)
+        h = distributions._Side.h
+        calls = []
+
+        def spy(side, u):
+            calls.append((side, u.copy()))
+            return h(side, u)
+
+        monkeypatch.setattr(distributions._Side, "h", spy)
+        below = np.linspace(0.0, lower.split, 9, endpoint=False)
+        above = np.linspace(lower.split, 1.0, 9)
+        for side, x, u in ((lower, below, below), (upper, above, 1.0 - above)):
+            calls.clear()
+            cdf_beta(a, b, x)
+            assert len(calls) == 1 and calls[0][0] is side and np.array_equal(calls[0][1], u)
+
     @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES)
-    @given(st.lists(unit_floats, min_size=1, max_size=64), st.data())
-    def test_value_alone_equals_value_in_any_batch(self, a, b, batch, data):
+    @given(st.data())
+    def test_value_alone_equals_value_in_any_batch(self, a, b, data):
         # Clenshaw does the same operations for every point, so no value
-        # depends on what else is evaluated with it
+        # depends on what else is evaluated with it, and a batch wholly on
+        # one side of the split, which skips the split, gives the same bits
+        split = _beta_law(a, b)[0].split
+        points = data.draw(st.sampled_from([
+            unit_floats, st.floats(min_value=0.0, max_value=split, exclude_max=True),
+            st.floats(min_value=split, max_value=1.0),
+        ]))
+        batch = data.draw(st.lists(points, min_size=1, max_size=64))
         i = data.draw(st.integers(min_value=0, max_value=len(batch) - 1))
         alone = cdf_beta(a, b, np.array([batch[i]]))
         assert np.array_equal(cdf_beta(a, b, np.array(batch))[[i]], alone)
