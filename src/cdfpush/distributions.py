@@ -38,13 +38,14 @@ _BETA_CF_FIT_TOL = 2.0 * _EPS
 _BETA_CF_MAX_ITER = 300
 # floor keeping Lentz denominators away from zero without disturbing the value
 _CF_TINY = 1e-300
-# A side of the beta CDF is fitted by a Chebyshev series at
-# 2 * _CHEB_MAX_DEGREE + 1 points.  It takes the continued fraction
-# instead when the continued fraction does not converge at those points,
-# or when the coefficients past the cap are not down at rounding level
-# (_CHEB_PLATEAU of the largest): a split next to 1, as for the
-# (1e5, 50) side, or a + b in the hundreds of thousands.  Fits that pass
-# end below degree 125 up to a = b = 1e4.
+# A side of the beta CDF is fitted by a Chebyshev series in
+# s = -ln(1 - u) at 2 * _CHEB_MAX_DEGREE + 1 points.  It takes the
+# continued fraction instead when the continued fraction does not
+# converge at those points, or when the coefficients past the cap are not
+# down at rounding level (_CHEB_PLATEAU of the largest): a large shape
+# with its split next to 1, as for the (1e5, 50) side, or a + b in the
+# hundreds of thousands.  Fits that pass end below degree 100 up to
+# a = b = 1e4.
 _CHEB_MAX_DEGREE = 256
 _CHEB_PLATEAU = 2.0**-46
 # beta quantile: a point is done once its Newton step or its bracket is
@@ -195,6 +196,13 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray, tol: float, max_
     place on preallocated buffers; each `out=` ufunc rounds exactly as the
     expression it replaces.
     """
+    # every coefficient factor is at most (a + 2 max_iter + 1) times
+    # (a + b + 2 max_iter + 1); past float range they meet as inf / inf = nan
+    if not math.isfinite((a + 2.0 * max_iter + 1.0) * (a + b + 2.0 * max_iter + 1.0)):
+        raise ConvergenceError(
+            f"incomplete-beta continued fraction: its coefficients overflow "
+            f"(alpha={a:g}, beta={b:g})"
+        )
     c = np.ones_like(x)
     d = 1.0 - (a + b) * x / (a + 1.0)
     num = np.empty_like(x)
@@ -236,24 +244,29 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray, tol: float, max_
     )
 
 
-def _chebyshev_fit(p: float, q: float, split: float):
-    """Chebyshev coefficients of h(u) = 2F1(p+q, 1; p+1; u) on [0, split],
-    chopped where they reach the rounding plateau, or None when the fit
-    does not get there by degree `_CHEB_MAX_DEGREE`.
+def _chebyshev_fit(p: float, q: float, span: float):
+    """Chebyshev coefficients of h(u) = 2F1(p+q, 1; p+1; u) as a function
+    of s = -ln(1 - u) on [0, span], chopped where they reach the rounding
+    plateau, or None when the fit does not get there by degree
+    `_CHEB_MAX_DEGREE`.
 
-    h is analytic on [0, split] with its one singularity at u = 1, so the
-    coefficients fall geometrically (Trefethen, Approximation Theory and
-    Approximation Practice, 2013).  They are the discrete cosine
-    transform of h at the 2 * `_CHEB_MAX_DEGREE` + 1 Chebyshev points,
-    where the continued fraction evaluates h to rounding level; the
-    coefficients past the cap measure the plateau, and the series keeps
-    every coefficient above twice it.  A side on which the continued
-    fraction does not converge gets no fit.
+    h is analytic with its one singularity at u = 1, which s sends to
+    infinity: in s the singularities nearest the interval lie at
+    Im s = +-pi, so the Bernstein ellipse that avoids them is wider than
+    in u and the coefficients fall faster (Trefethen, Approximation
+    Theory and Approximation Practice, 2013): 15 terms for each side of
+    beta(2.5, 3.5), where the fit in u took 22 and 26.  The coefficients
+    are the discrete cosine transform of h at the 2 * `_CHEB_MAX_DEGREE`
+    + 1 Chebyshev points, where the continued fraction evaluates h to
+    rounding level at u = -expm1(-s); the coefficients past the cap
+    measure the plateau, and the series keeps every coefficient above
+    twice it.  A side on which the continued fraction does not converge
+    gets no fit.
     """
     n = 2 * _CHEB_MAX_DEGREE
-    u = (0.5 * split) * (1.0 + np.cos(np.pi / n * np.arange(n + 1)))
+    s = (0.5 * span) * (1.0 + np.cos(np.pi / n * np.arange(n + 1)))
     try:
-        values = _beta_continued_fraction(p, q, u, _BETA_CF_FIT_TOL, _BETA_CF_MAX_ITER)
+        values = _beta_continued_fraction(p, q, -np.expm1(-s), _BETA_CF_FIT_TOL, _BETA_CF_MAX_ITER)
     except ConvergenceError:
         return None
     coef = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
@@ -320,57 +333,109 @@ def _ln_beta(a: float, b: float) -> float:
     a, b = min(a, b), max(a, b)
     if b < 8.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    if a < 8.0:
+        return math.lgamma(a) + _ln_gamma_ratio(a, b)
     h = a / b
     corrections = _stirling_correction(b) - _stirling_correction(a + b)
-    if a < 8.0:
-        u = (b + (a - 0.5)) * math.log1p(h)
-        v = a * (math.log(b) - 1.0)
-        return math.lgamma(a) + ((corrections - min(u, v)) - max(u, v))
     u = -(a - 0.5) * math.log(h / (1.0 + h))
     v = b * math.log1p(h)
     front = (_HALF_LN_2PI - 0.5 * math.log(b)) + (corrections + _stirling_correction(a))
     return (front - min(u, v)) - max(u, v)
 
 
+def _ln_gamma_ratio(a: float, b: float) -> float:
+    """lgamma(b) - lgamma(a + b) for a < 8 <= b, from Stirling's form as
+    `_ln_beta` arranges it (TOMS 708 `algdiv`)."""
+    corrections = _stirling_correction(b) - _stirling_correction(a + b)
+    u = (b + (a - 0.5)) * math.log1p(a / b)
+    v = a * (math.log(b) - 1.0)
+    return (corrections - min(u, v)) - max(u, v)
+
+
+def _ln_p_beta(p: float, q: float) -> float:
+    """ln(p B(p, q)), the constant of the front factor of the side of
+    beta(p, q), which divides by p.
+
+    ln p + ln B(p, q) cancels for p below 1, where ln B ~ -ln p: its
+    rounding, 6e-14 at p = 1e-300, made the CDF dip by up to 7.9e-14.
+    There p B(p, q) = Gamma(1+p) Gamma(q) / Gamma(p+q) keeps every term
+    of order one: as lgamma(1+p) + lgamma(1+q) - lgamma(1+p+q) +
+    log1p(p/q) for q below 8, which does not cancel for small q either,
+    and as lgamma(1+p) + `_ln_gamma_ratio` from q = 8 on.
+    """
+    if p >= 1.0:
+        return math.log(p) + _ln_beta(p, q)
+    if q < 8.0:
+        return (math.lgamma(1.0 + p) + math.lgamma(1.0 + q) - math.lgamma(1.0 + p + q)) + math.log1p(p / q)
+    return math.lgamma(1.0 + p) + _ln_gamma_ratio(p, q)
+
+
+def _logs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln x and ln(1 - x): -inf at x = 0 and at x = 1 respectively."""
+    ln_1mx = np.negative(x)
+    with np.errstate(divide="ignore"):
+        np.log1p(ln_1mx, out=ln_1mx)
+        return np.log(x), ln_1mx
+
+
 class _Side:
     """The side of beta(p, q) below its split (p+1)/(p+q+2).
 
-    There I_x(p, q) = front(x) * h(x) / p (DLMF 8.17.8), with front(x) =
-    x^p (1-x)^q / B(p, q) and h(u) = 2F1(p+q, 1; p+1; u): a Chebyshev
-    series evaluated by Clenshaw, or, where `_chebyshev_fit` finds none
-    (`coef` is None), the continued fraction for the same function.  By
-    I_x(a, b) = 1 - I_(1-x)(b, a), the side of beta(a, b) at and above
-    its split is the side of beta(b, a) below its own, in the coordinate
-    1 - x, so `_side` fits each side once for both laws.
+    There I_u(p, q) = front(u) * h(u) (DLMF 8.17.8), with front(u) =
+    u^p (1-u)^q / (p B(p, q)) and h(u) = 2F1(p+q, 1; p+1; u): a Chebyshev
+    series in s = -ln(1 - u) on [0, -ln(1 - split)], evaluated by
+    Clenshaw, or, where `_chebyshev_fit` finds none (`coef` is None), the
+    continued fraction for the same function.  front is formed from ln u
+    and ln(1 - u), and the series reads s from the second, so a point
+    pays two logs and one exp.  By I_x(a, b) = 1 - I_(1-x)(b, a), the
+    side of beta(a, b) at and above its split is the side of beta(b, a)
+    below its own, in the coordinate u = 1 - x, where ln u = ln(1 - x)
+    and ln(1 - u) = ln x: `_side` fits each side once for both laws, and
+    no point forms 1 - x.
     """
 
     def __init__(self, p: float, q: float):
         self.p, self.q = p, q
         self.split = (p + 1.0) / (p + q + 2.0)
-        self.scale = 4.0 / self.split  # u -> 2t for t in [-1, 1]
-        self.coef = _chebyshev_fit(p, q, self.split)
-        self.ln_beta = _ln_beta(p, q)
+        # a split that rounds to 1 (shapes some 2**53 apart) leaves no
+        # finite span in s, and no series
+        span = -math.log1p(-self.split) if self.split < 1.0 else math.inf
+        self.scale = -4.0 / span  # ln(1 - u) -> 2t for t in [-1, 1]
+        self.coef = _chebyshev_fit(p, q, span) if span < math.inf else None
+        self.ln_p_beta = _ln_p_beta(p, q)
 
-    def h(self, u: np.ndarray) -> np.ndarray:
+    def h(self, ln_1mu: np.ndarray) -> np.ndarray:
+        """h(u) at ln(1 - u) = -s, which it overwrites."""
         if self.coef is None:
+            u = np.expm1(ln_1mu, out=ln_1mu)
+            np.negative(u, out=u)
             return _beta_continued_fraction(self.p, self.q, u, _BETA_CF_TOL, _BETA_CF_MAX_ITER)
-        t2 = u * self.scale
-        t2 -= 2.0
-        return _clenshaw(self.coef, t2)
+        ln_1mu *= self.scale
+        ln_1mu -= 2.0
+        return _clenshaw(self.coef, ln_1mu)
 
-    def front(self, x: np.ndarray) -> np.ndarray:
-        """x^p (1-x)^q / B(p, q), 0 at x = 0 and x = 1."""
-        with np.errstate(divide="ignore"):  # log(0) = -inf at both endpoints
-            return np.exp(self.p * np.log(x) + self.q * np.log1p(-x) - self.ln_beta)
+    def front(self, ln_u: np.ndarray, ln_1mu: np.ndarray) -> np.ndarray:
+        """u^p (1-u)^q / (p B(p, q)) from ln u and ln(1 - u), 0 at u = 0
+        and u = 1."""
+        # p ln u overflows to -inf for shapes past about 1e305: exp gives 0
+        with np.errstate(over="ignore"):
+            front = np.multiply(ln_u, self.p)
+            front += self.q * ln_1mu
+        front -= self.ln_p_beta
+        return np.exp(front, out=front)
 
-    def tail(self, x: np.ndarray):
-        """(I_x(p, q), front) at x in [0, split].  front divided by x(1-x)
-        is the beta density, which Newton's step takes from here at no
-        extra exp or log; both are 0 at x = 0."""
-        front = self.front(x)
-        tail = front * self.h(x)
-        tail /= self.p
+    def from_logs(self, ln_u: np.ndarray, ln_1mu: np.ndarray):
+        """(I_u(p, q), front) from ln u and ln(1 - u), which it overwrites."""
+        front = self.front(ln_u, ln_1mu)
+        tail = self.h(ln_1mu)
+        tail *= front
         return tail, front
+
+    def tail(self, u: np.ndarray):
+        """(I_u(p, q), front) at u in [0, split].  p front divided by
+        u(1-u) is the beta density, which Newton's step takes from here at
+        no extra exp or log; both are 0 at u = 0."""
+        return self.from_logs(*_logs(u))
 
     @functools.cached_property
     def inverse(self) -> "_InverseTable":
@@ -378,20 +443,21 @@ class _Side:
         return _InverseTable(self)
 
     def quantile(self, t: np.ndarray) -> np.ndarray:
-        """The roots x of I_x(p, q) = t for t up to the side's mass."""
+        """The roots u of I_u(p, q) = t for t up to the side's mass."""
         return _newton(self, t, *self.inverse.start(t))
 
 
 # A side's fit is paid once per process, for beta(a, b) and beta(b, a)
-# alike (2-core Xeon, NumPy 2.4): 0.4-0.6 ms a side for (0.5, 0.5) and
-# (2.5, 3.5), 2.7 ms for (1000, 1000), plus 1.1-1.5 ms for the first use of
-# numpy.fft.  Clenshaw saves 0.1-0.15 us a point against the continued
-# fraction, so the fits are repaid once the same (a, b) has met some 10^4
-# points, as it does within one beta `iterate` or `simulate` command.  The
-# first draw adds each side's inverse table: 2-3 CDF calls over its 1025
-# samples and 4095 knots in 1.1-2.6 ms, or 3-5 calls in 9-17 ms on a
-# continued-fraction side.  With them a draw takes one pass where it took
-# 4.2, which repays the tables from about 5000 draws on.
+# alike (2-core Xeon, NumPy 2.4): 0.3-0.6 ms a side for (0.5, 0.5) and
+# (2.5, 3.5), 2-3 ms for (1000, 1000), plus 1.1-1.5 ms for the first use of
+# numpy.fft.  The 15 Clenshaw terms of (2.5, 3.5) take 16 ns a point, the
+# continued fraction 100 ns, so the fits are repaid once the same (a, b)
+# has met some 10^4 points, as it does within one beta `iterate` or
+# `simulate` command.  The first draw adds each side's inverse table: 2-3
+# CDF calls over its 1025 samples and 4095 knots in 1.1-2.6 ms, or 3-5
+# calls in 9-17 ms on a continued-fraction side.  With them a draw takes
+# one pass where it took 4.2, which repays the tables from about 5000
+# draws on.
 @functools.lru_cache(maxsize=128)
 def _side(p: float, q: float) -> _Side:
     return _Side(p, q)
@@ -402,18 +468,30 @@ def _beta_law(a: float, b: float) -> tuple[_Side, _Side]:
     return _side(a, b), _side(b, a)
 
 
+def _side_cdf(side: _Side, ln_u: np.ndarray, ln_1mu: np.ndarray, flip: bool) -> np.ndarray:
+    """The side's tail from the logs, capped at 1, and 1 - it where the
+    side is the upper one (flip): the CDF at the points."""
+    tail = side.from_logs(ln_u, ln_1mu)[0]
+    np.minimum(tail, 1.0, out=tail)
+    if flip:
+        np.subtract(1.0, tail, out=tail)
+    return tail
+
+
 def _beta_kernel(lower: _Side, upper: _Side, arr: np.ndarray) -> np.ndarray:
     """I_x(a, b) at x = arr in [0, 1] from the sides of `_beta_law(a, b)`:
     the tail of lower below the split, and 1 - the tail of upper at 1 - x
-    at and above it.  front is formed from x once, by the lower side; the
-    sides are gathered by index (a boolean gather costs several times more
-    on the interleaved sides of random points), and the upper side is
-    flipped after the loop: flipping inside it took 7 % more time.  Each
-    tail is capped at 1 before the flip: at shapes of 1e-16 and below, the
-    rounding of ln B(a, b) lifts a tail above 1 by up to 8e-14.
+    at and above it.  ln x and ln(1 - x) are formed once: the lower side
+    reads them as they are, the upper side swapped, and each side's
+    series reads its s = -ln(1 - u) from them, so no point forms 1 - x or
+    pays a third log.  The sides are gathered by index (a boolean gather
+    costs several times more on the interleaved sides of random points).
+    Each tail is capped at 1 before the flip: at shapes of 1e-16 and
+    below, a side's tail rounds above 1 by up to 2 ulps next to its
+    split.
 
-    A batch wholly on one side of the split is evaluated in place on
-    front, with no index arrays, gathers or scatters and no run of the
+    A batch wholly on one side of the split is evaluated in place on its
+    logs, with no index arrays, gathers or scatters and no run of the
     other side's series on an empty array; each point meets the same
     operations in the same order, so its value is bit for bit the split
     path's.  `_pull`'s split branches hand the base one half of [0, 1] at
@@ -423,37 +501,30 @@ def _beta_kernel(lower: _Side, upper: _Side, arr: np.ndarray) -> np.ndarray:
     The figure's beta column and the r = 4 push-3 ensemble's reference
     are mixed batches; only some of `verify`'s KS calls are one-sided."""
     flat = arr.reshape(-1)
-    front = lower.front(flat)
+    ln_x, ln_1mx = _logs(flat)
     above = flat >= lower.split
     count = np.count_nonzero(above)
     if count == 0 or count == flat.size:
-        side, u = (upper, 1.0 - flat) if count else (lower, flat)
-        front *= side.h(u)
-        front /= side.p
-        np.minimum(front, 1.0, out=front)
-        if count:
-            np.subtract(1.0, front, out=front)
-        return front.reshape(arr.shape)
+        args = (upper, ln_1mx, ln_x, True) if count else (lower, ln_x, ln_1mx, False)
+        return _side_cdf(*args).reshape(arr.shape)
     below, above = np.flatnonzero(~above), np.flatnonzero(above)
-    tail = np.empty_like(flat)
-    for index, side, u in ((below, lower, flat[below]), (above, upper, 1.0 - flat[above])):
-        v = front[index]
-        v *= side.h(u)
-        v /= side.p
-        tail[index] = v
-    np.minimum(tail, 1.0, out=tail)
-    tail[above] = 1.0 - tail[above]
-    return tail.reshape(arr.shape)
+    out = np.empty_like(flat)
+    out[below] = _side_cdf(lower, ln_x[below], ln_1mx[below], False)
+    out[above] = _side_cdf(upper, ln_1mx[above], ln_x[above], True)
+    return out.reshape(arr.shape)
 
 
 def cdf_beta(alpha, beta, y):
     """Regularized incomplete beta function I_y(alpha, beta).
 
     The hypergeometric form of each side of the split (alpha+1)/(alpha+beta+2)
-    is evaluated from a Chebyshev series fitted once per (alpha, beta),
-    so a value does not depend on the other points of its call.  A side
-    that no series of degree 256 captures takes the continued fraction,
-    which raises ConvergenceError rather than return an unconverged value.
+    is evaluated from a Chebyshev series in s = -ln(1 - u), u the side's
+    coordinate, fitted once per (alpha, beta), so a value does not depend
+    on the other points of its call.  A side that no series of degree 256
+    captures (a split next to 1, as for the lower side of beta(1e5, 50))
+    takes the continued fraction, which raises ConvergenceError rather
+    than return an unconverged value; so do shapes past about 1e150, whose
+    continued fraction overflows.
     """
     a = _positive_param(alpha, "alpha")
     b = _positive_param(beta, "beta")
@@ -498,7 +569,7 @@ def _newton(side: _Side, t, x, lo, hi) -> np.ndarray:
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            density = front / (x * (1.0 - x))  # inf at a subnormal root: a step of 0
+            density = side.p * front / (x * (1.0 - x))  # inf at a subnormal root: a step of 0
             newton = g / density
             target = x - newton
             bisect = ~((target >= lo) & (target <= hi) & (np.abs(2.0 * g) <= np.abs(step_old * density)))
@@ -514,10 +585,10 @@ def _inverse_cells(side: _Side, sigma: float, end, w, t, x) -> list:
     `_InverseTable`, as the coefficients c0..c3 of each cell, in
     x = c0 + u (c1 + u (c2 + u c3)) for the cell's coordinate u in [0, 1],
     and the cell's end.  The slope dx/dw at a point is sigma t / (w f(x)),
-    with f the beta density, and `end` at w = 0; a slope that is not
-    finite is replaced by the cell's secant."""
+    with f = p front / (x (1 - x)) the beta density, and `end` at w = 0; a
+    slope that is not finite is replaced by the cell's secant."""
     with np.errstate(divide="ignore", invalid="ignore"):  # and inf * 0 where t underflows
-        m = sigma * t / w * (x * (1.0 - x)) / side.front(x)
+        m = sigma * t / w * (x * (1.0 - x)) / (side.p * side.front(*_logs(x)))
         m[0] = end
         dw = np.diff(w)
         m0, m1 = m[:-1] * dw, m[1:] * dw
@@ -572,9 +643,9 @@ class _InverseTable:
         # x = (p B(p, q) t)**(1/p) instead: exact as t -> 0, where that
         # cell's interpolant is orders of magnitude off
         capped = sigma < p
-        self.tail_law = (1.0 / p, (math.log(p) + side.ln_beta) / p) if capped else None
+        self.tail_law = (1.0 / p, side.ln_p_beta / p) if capped else None
         with np.errstate(over="ignore"):  # x / w at w = 0, where sigma is not capped
-            end = np.inf if capped else np.exp((np.log(p) + side.ln_beta + np.log(mass)) / p)
+            end = np.inf if capped else np.exp((side.ln_p_beta + np.log(mass)) / p)
         # Each knot k / cells starts from the interpolant through the samples,
         # in the cell j of the two samples around it, which bracket it: cell j
         # holds the knots with ceil(w_j cells) <= k < ceil(w_(j+1) cells).

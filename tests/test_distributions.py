@@ -23,13 +23,14 @@ from cdfpush import (
     ParameterError,
     cdf_beta,
     cdf_kumaraswamy,
+    iterate_pushforward,
     ks_band,
     ks_statistic,
     sample,
     standard_grid,
 )
 from cdfpush import distributions
-from cdfpush.distributions import _beta_continued_fraction, _beta_kernel, _beta_law
+from cdfpush.distributions import _beta_continued_fraction, _beta_kernel, _beta_law, _ln_beta
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 shape_params = st.floats(min_value=0.25, max_value=4.0)
@@ -247,14 +248,51 @@ class TestBetaCdf:
 
     @pytest.mark.parametrize("a, b", [(1e-16, 1.0), (1.0, 1e-16), (1e-300, 2.5), (2.5, 1e-300)])
     def test_stays_inside_the_unit_interval_for_tiny_shapes(self, a, b):
-        # ln B(a, b) ~ -ln a carries its rounding, up to 8e-14 at a = 1e-300,
-        # into the front factor: uncapped, a side's tail rose above 1, and
-        # the CDF above 1 below the split or below 0 above it
+        # ln a + ln B(a, b), with ln B ~ -ln a, carried its rounding, up to
+        # 8e-14 at a = 1e-300, into the front factor: uncapped, a side's tail
+        # rose above 1, and the CDF above 1 below the split or below 0 above it
         y = np.concatenate([
             np.linspace(0.0, 1.0, 100_001), np.logspace(-300, -1, 2000), 1.0 - np.logspace(-16, -1, 2000),
         ])
         for values in (cdf_beta(a, b, y), DistSpec("beta", a, b).cdf()(y)):
             assert values.min() >= 0.0 and values.max() <= 1.0
+
+    @pytest.mark.parametrize("a, b", [(1e-15, 1.0), (1e-300, 2.5), (1e-300, 1e-300)])
+    def test_monotone_for_tiny_shapes(self, a, b):
+        # with ln(a B(a, b)) formed as ln a + ln B(a, b), the CDF dipped by
+        # 7.1e-15, 3.4e-14 and 7.9e-14 on these points, the last across the
+        # split, and its iterates rose above 1 by as much
+        split = _beta_law(a, b)[0].split
+        y = np.sort(np.concatenate([
+            np.random.default_rng(0).random(1_000_000), [0.0, 5e-324, 1.0], np.logspace(-300, -1, 2000),
+            1.0 - np.logspace(-16, -1, 2000), np.clip(split * (1.0 + np.arange(-2000, 2001) * 2.0**-53), 0.0, 1.0),
+        ]))
+        assert np.max(-np.diff(cdf_beta(a, b, y))) <= 1e-15
+        # one step stays inside [0, 1]; the second step's sum D1(lo) + 1 -
+        # D1(hi) adds rounding of its own near 1, up to 2 eps
+        y = np.linspace(0.0, 1.0, 100_001)
+        for r in (3.7, 4.0):
+            one, two = (iterate_pushforward(DistSpec("beta", a, b).cdf(), r, n)(y) for n in (1, 2))
+            assert one.max() <= 1.0 and two.max() <= 1.0 + 2.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("a, b, expected", [(1e17, 1.0, [0.0, 0.0, 1.0]), (1.0, 1e17, [1.0, 1.0, 1.0])])
+    def test_a_split_that_rounds_to_one(self, a, b, expected):
+        # (1e17 + 1) / (1e17 + 3) rounds to 1: that side has no finite span
+        # in s = -ln(1 - u), and takes the continued fraction
+        assert _beta_law(max(a, b), min(a, b))[0].split == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(cdf_beta(a, b, [0.3, 0.999999, 1.0]), expected)
+
+    @pytest.mark.parametrize("a, y", [(1e300, [0.3, 0.999999, 1.0]), (1e307, [1e-300])])
+    def test_overflowing_continued_fraction_raises_without_a_warning(self, a, y):
+        # at alpha = 1e300 the continued fraction's coefficients overflow to
+        # inf / inf, which leaked NumPy warnings before the ConvergenceError;
+        # at 1e307 so does alpha ln y in the front factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="overflow"):
+                cdf_beta(a, 2.0, y)
 
     @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.05, 1e4), (1000.0, 0.5)])
     def test_mirrored_laws_share_their_sides(self, a, b):
@@ -269,19 +307,20 @@ class TestBetaCdf:
         # value here would poison every downstream comparison
         with pytest.raises(ConvergenceError):
             _beta_continued_fraction(0.5, 0.5, np.array([0.3]), 1e-12, 1)
-        # the side of (1000, 1/2) below its split takes the fallback
-        assert _beta_law(1000.0, 0.5)[0].coef is None
+        # the side of (0.05, 1e4) above its split takes the fallback
+        assert _beta_law(0.05, 1e4)[1].coef is None
         monkeypatch.setattr(distributions, "_BETA_CF_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            cdf_beta(1000.0, 0.5, 0.99)
+            cdf_beta(0.05, 1e4, 0.5)
         # a side whose samples do not converge gets no series
-        assert distributions._chebyshev_fit(2.5, 3.5, 3.5 / 8.0) is None
+        assert distributions._chebyshev_fit(2.5, 3.5, -math.log1p(-3.5 / 8.0)) is None
 
     @pytest.mark.parametrize("a, b", [(2.5, 3.5), (3.5, 2.5), (0.5, 0.5), (1000.0, 1000.0)])
     def test_one_sided_batch_runs_only_its_side(self, a, b, monkeypatch):
         # a batch wholly below the split (with x = 0) or wholly at and above
-        # it (with the split and x = 1) runs one side's series, on the batch
-        # itself or on 1 - x: no call of the other side on an empty array
+        # it (with the split and x = 1) runs one side's series, at
+        # ln(1 - u) = ln(1 - x) or ln x: no call of the other side on an
+        # empty array
         lower, upper = _beta_law(a, b)
         h = distributions._Side.h
         calls = []
@@ -293,7 +332,9 @@ class TestBetaCdf:
         monkeypatch.setattr(distributions._Side, "h", spy)
         below = np.linspace(0.0, lower.split, 9, endpoint=False)
         above = np.linspace(lower.split, 1.0, 9)
-        for side, x, u in ((lower, below, below), (upper, above, 1.0 - above)):
+        with np.errstate(divide="ignore"):
+            ln_1mu = (np.log1p(-below), np.log(above))
+        for side, x, u in ((lower, below, ln_1mu[0]), (upper, above, ln_1mu[1])):
             calls.clear()
             cdf_beta(a, b, x)
             assert len(calls) == 1 and calls[0][0] is side and np.array_equal(calls[0][1], u)
@@ -321,7 +362,20 @@ class TestBetaCdf:
         assert lower.coef is not None and upper.coef is not None
         assert max(lower.coef.size, upper.coef.size) <= 80
 
-    @pytest.mark.parametrize("a, b", CHEBYSHEV_SHAPES + [(100.0, 100.0), (1000.0, 1000.0)])
+    def test_series_in_s_are_short(self):
+        # in s = -ln(1 - u) the sides of (2.5, 3.5) take 15 terms each;
+        # in u they took 22 and 26
+        assert max(side.coef.size for side in _beta_law(2.5, 3.5)) <= 16
+
+    def test_few_sides_fall_back(self):
+        # over geomspace(0.01, 1e4, 13)**2, counting each side of each law,
+        # 38 sides take the continued fraction, where a fit in u left 50
+        shapes = np.geomspace(0.01, 1e4, 13)
+        assert sum(side.coef is None for a in shapes for b in shapes for side in _beta_law(a, b)) <= 40
+
+    @pytest.mark.parametrize(
+        "a, b", CHEBYSHEV_SHAPES + [(100.0, 100.0), (1000.0, 1000.0), (1000.0, 0.5), (0.5, 1000.0)]
+    )
     def test_against_mpmath(self, a, b):
         # within 16 eps of the tail the evaluated side forms (F below the
         # split, 1 - F above), scaled by the condition number of the front
@@ -330,17 +384,17 @@ class TestBetaCdf:
         got = cdf_beta(a, b, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             condition = 1.0 + np.nan_to_num(np.abs(a * np.log(y)) + np.abs(b * np.log1p(-y)), posinf=0.0)
-        condition += abs(_beta_law(a, b)[0].ln_beta)
+        condition += abs(_ln_beta(a, b))
         bound = 16 * np.finfo(float).eps * condition * side_tail
         assert np.all(np.abs(got - expected) <= np.maximum(bound, 0.5 * np.spacing(expected)))
 
     def test_continued_fraction_fallback_against_mpmath(self):
-        # the lower side of (1000, 1/2) ends next to 1 (split 0.9985): no
-        # Chebyshev series of degree 256 captures it, so it takes the
-        # continued fraction, run to 1e-12
-        a, b = 1000.0, 0.5
+        # the upper side of (0.05, 1e4), the side of (1e4, 0.05) below its
+        # split 0.9999: no Chebyshev series of degree 256 in s captures it,
+        # so it takes the continued fraction, run to 1e-12
+        a, b = 0.05, 1e4
         lower, upper = _beta_law(a, b)
-        assert lower.coef is None and upper.coef is not None
+        assert lower.coef is not None and upper.coef is None
         y, expected, _ = mpmath_betainc(a, b)
         assert np.max(np.abs(cdf_beta(a, b, y) - expected)) <= 1e-12
 
@@ -377,7 +431,7 @@ class TestLogBeta:
     def error(a, b):
         with mpmath.workdps(40):
             exact = mpmath.log(mpmath.beta(a, b))
-            return float(abs(_beta_law(a, b)[0].ln_beta - exact) / max(1, abs(exact)))
+            return float(abs(_ln_beta(a, b) - exact) / max(1, abs(exact)))
 
     @pytest.mark.parametrize(
         "a, b", [(1000.0, 1000.0), (8.0, 8.0), (8.0, 1e4), (4790.7411155106165, 512.365266581618),
@@ -390,7 +444,7 @@ class TestLogBeta:
     def test_within_two_ulps_when_both_shapes_are_large(self, a, b):
         with mpmath.workdps(40):
             exact = mpmath.log(mpmath.beta(a, b))
-            assert abs(_beta_law(a, b)[0].ln_beta - exact) <= 2 * np.spacing(abs(float(exact)))
+            assert abs(_ln_beta(a, b) - exact) <= 2 * np.spacing(abs(float(exact)))
 
     @given(large_shapes, large_shapes)
     def test_against_mpmath_when_a_shape_is_large(self, a, b):
@@ -400,8 +454,19 @@ class TestLogBeta:
     @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.5, 0.5)])
     def test_small_shapes_keep_lgamma(self, a, b):
         # the difference of lgamma values is right to rounding there
-        assert _beta_law(a, b)[0].ln_beta == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        assert _ln_beta(a, b) == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         assert self.error(a, b) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "p, q", [(1e-300, 2.5), (1e-300, 1e-300), (1e-15, 1.0), (2.5, 1e-300), (1e-300, 1e4), (0.05, 1e4),
+                 (2.5, 3.5), (0.999, 7.99), (7.9, 0.3), (1e4, 0.05), (1000.0, 1000.0)]
+    )
+    def test_p_times_beta_against_mpmath(self, p, q):
+        # ln(p B(p, q)), the front factor's constant, within 1e-14 where
+        # ln p + ln B(p, q) cancelled: by 6e-14 at p = 1e-300
+        with mpmath.workdps(40):
+            exact = mpmath.log(p * mpmath.beta(p, q))
+            assert abs(distributions._ln_p_beta(p, q) - exact) <= 1e-14 * max(1.0, abs(float(exact)))
 
     def test_cdf_in_the_bulk_of_a_large_symmetric_law(self):
         # 8.6e-13 off with the lgamma difference; what remains is the
