@@ -303,13 +303,14 @@ class TestBetaCdf:
         assert _beta_law(a, a)[0] is _beta_law(a, a)[1]
 
     def test_nonconvergence_raises(self, monkeypatch):
+        # the side of (0.05, 1e4) above its split takes the fallback; its
+        # sides are fitted and cached before the fraction is starved
+        assert _beta_law(0.05, 1e4)[1].coef is None
         # starve the continued fraction of iterations; a silent wrong
         # value here would poison every downstream comparison
-        with pytest.raises(ConvergenceError):
-            _beta_continued_fraction(0.5, 0.5, np.array([0.3]), 1e-12, 1)
-        # the side of (0.05, 1e4) above its split takes the fallback
-        assert _beta_law(0.05, 1e4)[1].coef is None
         monkeypatch.setattr(distributions, "_BETA_CF_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            _beta_continued_fraction(0.5, 0.5, np.array([0.3]), 1e-12)
         with pytest.raises(ConvergenceError):
             cdf_beta(0.05, 1e4, 0.5)
         # a side whose samples do not converge gets no series
@@ -398,6 +399,25 @@ class TestBetaCdf:
         y, expected, _ = mpmath_betainc(a, b)
         assert np.max(np.abs(cdf_beta(a, b, y) - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("a, b", [(0.05, 1e4), (1e5, 50.0), (50.0, 1e5)])
+    def test_continued_fraction_sides_against_the_series(self, a, b):
+        # each continued-fraction side: the upper side of (0.05, 1e4) and
+        # the side of (1e5, 50) below its split, as the lower side of
+        # (1e5, 50) and the upper side of (50, 1e5).  mpmath.betainc cannot
+        # reach the last two (NoConvergence), so the oracle is the series
+        # of DLMF 8.17.8, at the mean +-8 sd and next to the split
+        lower, upper = _beta_law(a, b)
+        assert (lower.coef is None) != (upper.coef is None)
+        split = lower.split
+        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+        y = np.clip(np.concatenate([
+            a / (a + b) + np.linspace(-8.0, 8.0, 9) * sd,
+            split * (1.0 + np.array([-1e-3, 1e-3])),
+        ]), 0.0, 1.0)
+        with mpmath.workdps(40):
+            expected = np.array([float(mpmath_cdf(a, b, split, v)) for v in y])
+        assert np.max(np.abs(cdf_beta(a, b, y) - expected)) <= 1e-12
+
 
 large_shapes = st.floats(min_value=0.05, max_value=1e4)
 # p in the lower tail down to 1e-300, and in the upper tail up to 1 - 2**-53
@@ -476,55 +496,6 @@ class TestLogBeta:
         with mpmath.workdps(40):
             exact = np.array([float(mpmath.betainc(a, b, 0, v, regularized=True)) for v in y])
         assert np.max(np.abs(cdf_beta(a, b, y) - exact)) <= 2e-13
-
-
-def allocating_lentz(a, b, x, tol, max_iter):
-    """The continued fraction written with one new array per operation:
-    the oracle for the in-place loop, which must match it bit for bit."""
-    tiny = 1e-300
-    c = np.ones_like(x)
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    np.copyto(d, tiny, where=np.abs(d) < tiny)
-    d = 1.0 / d
-    h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        num = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
-        d = 1.0 + num * d
-        np.copyto(d, tiny, where=np.abs(d) < tiny)
-        c = 1.0 + num / c
-        np.copyto(c, tiny, where=np.abs(c) < tiny)
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
-        d = 1.0 + num * d
-        np.copyto(d, tiny, where=np.abs(d) < tiny)
-        c = 1.0 + num / c
-        np.copyto(c, tiny, where=np.abs(c) < tiny)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        converged |= np.abs(delta - 1.0) < tol
-        if converged.all():
-            return h
-    raise ConvergenceError("unconverged")
-
-
-class TestLentzLoop:
-    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.5, 3.5), (20.0, 30.0), (0.05, 5.0)])
-    def test_bit_identical_to_allocating_loop(self, a, b):
-        rng = np.random.default_rng(11)
-        for p, q in [(a, b), (b, a)]:  # direct and flipped orientation
-            split = (p + 1.0) / (p + q + 2.0)
-            batches = [
-                split * rng.random(2000),  # across the whole valid range
-                1e-8 * rng.random(500),  # near 0
-                split * (1.0 - 1e-3 * rng.random(500)),  # just below the split
-            ]
-            for x in batches:
-                want = allocating_lentz(p, q, x, 1e-12, 300)
-                assert np.array_equal(_beta_continued_fraction(p, q, x, 1e-12, 300), want)
 
 
 def warm_tables(a, b):
