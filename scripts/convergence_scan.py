@@ -8,11 +8,12 @@ Kumaraswamy, and arcsine closed forms, and writes one row per depth.
 Usage:
     python3 scripts/convergence_scan.py --n-max 12 --out convergence.csv
 
-The table goes through the writer of `cdfpush` (floats at `%.17g`), with
-`r` and `grid` as its CSV footer and its JSON meta. Errors exit as those
-of `cdfpush` do: a bad parameter or an unwritable `--out` prints one
-`error:` line to stderr and exits 2, a numerical-integrity failure one
-`numerical integrity failure:` line and exits 3.
+The table goes through the writer of `cdfpush` (floats at `%.17g` in CSV,
+as their shortest round-trip repr in JSON), with `r` and `grid` as its CSV
+footer and its JSON meta. Errors exit as those of `cdfpush` do: a bad
+parameter, an unwritable `--out` or an unwritable stdout (`| head -1`)
+prints one `error:` line to stderr and exits 2, a numerical-integrity
+failure one `numerical integrity failure:` line and exits 3.
 """
 
 from __future__ import annotations

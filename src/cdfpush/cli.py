@@ -6,25 +6,28 @@ battery), and `simulate` (Monte Carlo ensembles and long orbits).
 Tables are emitted as CSV or JSON with a reproducibility meta block and
 no timestamps, so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numerical-integrity failure.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+`--out` or a stdout that cannot be written), 3 numerical-integrity
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import platform
+import functools
+import itertools
 import json
+import os
+import platform
 import sys
 from dataclasses import asdict, astuple
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import ks_band, ks_statistic
-from .distributions import DistSpec, cdf_beta, cdf_kumaraswamy
+from .distributions import _CACHE_BLOCK, DistSpec, cdf_beta, cdf_kumaraswamy
 from .errors import (
     DegenerateOrbitError,
     DomainError,
@@ -68,9 +71,20 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
 
 
 def _write_text(pieces: list[str], out: str | None) -> None:
-    """Write the strings in order to `out` or, when empty, stdout."""
+    """Write the strings in order to `out` or, when empty, stdout.  A path
+    that cannot be written, or a stdout that cannot (its reader has gone,
+    as after `| head -1`, or its disk is full), raises `ParameterError`;
+    stdout is then pointed at the null device, so that the interpreter's
+    flush at exit has nothing to report."""
     if not out:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ParameterError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         with Path(out).open("w") as fh:
@@ -79,46 +93,238 @@ def _write_text(pieces: list[str], out: str | None) -> None:
         raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-# the items of a list at the depth of a column under `json.dumps(..., indent=2)`;
-# without `indent` the encoder runs in C
-_JSON_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
+# Float cells.  A float x > 0 is y * 10**(E - 16) with y = x * 10**(16 - E) in
+# [1e16, 1e17).  y is formed in double-double: Dekker's exact product (Numer.
+# Math. 18, 1971) of x and the double nearest 10**(16 - E), plus x times that
+# power's remainder, gives y = p + e with p an integer and |e| < 32, off by
+# about 2**-46.  The 17 digits of `%.17g` are y rounded half to even.  Those of
+# the JSON repr, Python's shortest round-trip repr, are, of the integers in
+# y's rounding interval with the most trailing zeros, the one nearest y.
+# Where a tie or an end of the interval lies within `_UNDECIDED` of the
+# double-double, Python formats the cell.
+_UNDECIDED = 2.0**-30
+_SPLITTER = 2.0**27 + 1  # Veltkamp: c - (c - v) with c = _SPLITTER * v is v's upper 26 bits
+_FAST_RANGE = (1e-280, 1e280)  # neither split overflows here
+_POW10_MIN, _POW10_MAX = -265, 297  # 16 - E for E in [-281, 281]
+_EXPONENT_MIN = -281
+_FEW_FLOATS = 256  # Python formats fewer floats faster than _float_cells' 0.1 ms of fixed cost
 
 
-def _json_column(values) -> str:
-    text = _JSON_ITEMS.encode(np.asarray(values).tolist())
-    return text if text == "[]" else f"[\n      {text[1:-1]}\n    ]"
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10**k for k in [`_POW10_MIN`, `_POW10_MAX`] as double-doubles hi + lo,
+    with hi's upper and lower 26 bits; built on the first float cell, with
+    integer arithmetic."""
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k >= 0:
+            hi.append(float(10**k))  # int to float rounds to nearest
+            lo.append(float(10**k - int(hi[-1])))
+        else:
+            hi.append(1 / 10**-k)  # and so does int / int
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi, lo = np.array(hi), np.array(lo)
+    c = _SPLITTER * hi
+    upper = c - (c - hi)
+    return hi, lo, upper, hi - upper
+
+
+@functools.cache
+def _cell_pieces() -> tuple[np.ndarray, ...]:
+    """The 4-digit groups "0000".."9999" as uint32; the cell heads "", "0.",
+    .., "0.000", each also after "-"; and the exponent tails "e-281"..
+    "e+281", then ""."""
+    groups = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    heads = np.array([[sign + lead for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")] for sign in (b"", b"-")])
+    tails = np.array([f"e{e:+03d}".encode() for e in range(_EXPONENT_MIN, 1 - _EXPONENT_MIN)] + [b""])
+    return groups.view(np.uint32).ravel(), heads, tails
+
+
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**k as p + e, p the rounded product: Dekker's exact product of x
+    and hi, plus x * lo."""
+    hi, lo, upper, lower = (table[k - _POW10_MIN] for table in _powers_of_ten())
+    p = x * hi
+    c = _SPLITTER * x
+    x_upper = c - (c - x)
+    x_lower = x - x_upper
+    e = ((x_upper * upper - p) + x_upper * lower + x_lower * upper) + x_lower * lower + x * lo
+    return p, e
+
+
+def _decimal(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, E, decided) for floats x > 0 in `_FAST_RANGE`: N * 10**(E - 16),
+    N in [1e16, 1e17), is x to 17 digits or, with `shortest`, to its
+    shortest round-trip digits; `decided` is False where the double-double
+    cannot tell (see the comment above `_UNDECIDED`)."""
+    E = np.floor(np.log10(x)).astype(np.int64)
+    p, e = _scaled(x, 16 - E)
+    # log10 may be one off next to a power of ten: put y in [1e16, 1e17)
+    shift = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.int64) - ((p < 1e16) | ((p == 1e16) & (e < 0)))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        E[moved] += shift[moved]
+        p[moved], e[moved] = _scaled(x[moved], 16 - E[moved])
+    P = p.astype(np.int64)
+    floor_e = np.floor(e)
+    f = e - floor_e  # y = Y + f, Y an integer
+    Y = P + floor_e.astype(np.int64)
+    if shortest:
+        # the rounding interval [y - below, y + above]: half an ulp on each
+        # side, but a quarter below a power of two
+        mantissa, exponent = np.frexp(x)
+        above = np.ldexp(_powers_of_ten()[0][16 - E - _POW10_MIN], exponent - 54)
+        below = np.where(mantissa == 0.5, 0.5 * above, above)
+        ends = np.stack((e - below, e + above))
+        floors = np.floor(ends)
+        decided = np.all(np.abs(ends - floors - 0.5) < 0.5 - _UNDECIDED, axis=0)
+        first, last = P + floors.astype(np.int64) + [[1], [0]]  # its integers
+        # there are at most 23.  With `step` 10 where there are 10 or more,
+        # else 1, a multiple of 10 * step among them is the only one and has
+        # the most trailing zeros; failing one, the multiples of `step` have,
+        # and of those in the interval the one nearest y is taken
+        step = np.where(last - first >= 9, 10, 1)
+        coarse = last // (10 * step) * (10 * step)
+        rest = Y % step
+        side = (2 * rest - step) + 2 * f  # > 0: y is nearer the multiple above
+        nearest = Y - rest + step * (side > 0)
+        nearest += step * ((nearest < first).astype(np.int64) - (nearest > last))
+        decided &= (coarse >= first) | (np.abs(side) > 2 * _UNDECIDED)
+        N = np.where(coarse >= first, coarse, nearest)
+    else:
+        decided = np.abs(f - 0.5) > _UNDECIDED
+        N = Y + (f > 0.5)
+    carry = N == 10**17
+    N[carry] = 10**16
+    return N, E + carry, decided
+
+
+def _float_cells(values, shortest: bool) -> np.ndarray:
+    """The bytes of `'%.17g' % v` or, with `shortest`, of the JSON float repr
+    `json.dumps(v)` for each float v of `values`, formed for the whole array
+    at once.  Python formats the cells that the double-double cannot decide,
+    -0.0, NaN, +-inf and |v| outside `_FAST_RANGE`, so the bytes match by
+    construction; 0.0 and 1.0, which fill CDF tables, are constants."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    groups, heads, tails = _cell_pieces()
+    zero, one = (x == 0.0) & ~np.signbit(x), x == 1.0
+    a = np.abs(x)
+    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1]) & ~one
+    a[~fast] = 1.0
+    N, E, decided = _decimal(a, shortest)
+    fast &= decided
+    plain = (E >= -4) & (E < 0)  # 0.ddd
+    scientific = (E < -4) | (E >= (16 if shortest else 17))  # d.ddde-XX
+    # the digits of N as "000d" and 16 more, or in scientific cells as "00d."
+    # and 16 more, stripped of zeros (and of a dot) at both ends
+    chars = groups[N[:, None] // [10**16, 10**12, 10**8, 10**4, 1] % 10**4].view(np.uint8)
+    chars[scientific, 2] = chars[scientific, 3]
+    chars[scientific, 3] = ord(".")
+    body = np.strings.strip(chars.view("S20").ravel(), b"0.")
+    sign = np.signbit(x).astype(np.int64)
+    cells = np.strings.add(
+        np.strings.add(heads[sign, np.where(plain, -E, 0)], body),
+        tails[np.where(scientific, E - _EXPONENT_MIN, -1)],
+    )
+    integral = fast & ~plain & ~scientific  # ddd.ddd, the dot after E + 1 digits
+    if integral.any():
+        cut = E[integral] + 1
+        padded = np.strings.ljust(body[integral], cut + shortest, b"0")  # 100, or 100.0 in JSON
+        fraction = np.strings.slice(padded, cut, None)
+        dot = np.where(np.strings.str_len(fraction) > 0, b".", b"")
+        whole = np.strings.add(heads[sign[integral], 0], np.strings.slice(padded, 0, cut))
+        cells[integral] = np.strings.add(np.strings.add(whole, dot), fraction)
+    cells[zero] = b"0.0" if shortest else b"0"
+    cells[one] = b"1.0" if shortest else b"1"
+    left = ~(fast | zero | one)
+    if left.any():
+        cells[left] = _python_cells(x[left].tolist(), shortest)
+    return cells
+
+
+# the C JSON encoder with a NUL between the items of a list: JSON text
+# escapes every control character, so the NULs split it into the items
+_JSON_CELLS = json.JSONEncoder(separators=("\0", ": "))
+
+
+def _python_cells(values: list, shortest: bool) -> list[bytes]:
+    """The cells of `values` as Python formats them, `%.17g` or, with
+    `shortest`, the JSON encoder's, by one call in C for the whole list."""
+    if not values:
+        return []
+    text = _JSON_CELLS.encode(values)[1:-1] if shortest else "\0".join(["%.17g"] * len(values)) % tuple(values)
+    return text.encode().split(b"\0")
+
+
+def _column_cells(blocks: list[np.ndarray], fmt: str) -> list[np.ndarray]:
+    """The cells of each 1-D array of `blocks` as bytes: the float arrays go
+    to `_float_cells` as one batch, or under `_FEW_FLOATS` of them to
+    `_python_cells`; other values to `_format_value` (CSV) or the JSON
+    encoder."""
+    shortest = fmt == "json"
+    floats = [block for block in blocks if block.dtype.kind == "f"]
+    if floats:
+        values = np.concatenate(floats)
+        if values.size < _FEW_FLOATS:
+            cells = np.array(_python_cells(values.tolist(), shortest), dtype=bytes)
+        else:
+            cells = _float_cells(values, shortest)
+        ends = itertools.accumulate(block.size for block in floats)
+        batch = (cells[end - block.size : end] for block, end in zip(floats, ends))
+
+    def other(values: list) -> list[bytes]:
+        return _python_cells(values, True) if shortest else [_format_value(v).encode() for v in values]
+
+    return [
+        next(batch) if block.dtype.kind == "f" else np.array(other(block.tolist()), dtype=bytes) for block in blocks
+    ]
+
+
+def _joined(cells: np.ndarray, ends) -> str:
+    """The cells in order, each followed by its end (broadcast over them).
+    The NULs that pad the cells are dropped, so a cell must hold none."""
+    return np.strings.add(cells, ends).tobytes().translate(None, b"\0").decode()
 
 
 def _emit_table(columns: dict, meta: dict, footer: dict, fmt: str, out: str | None) -> None:
-    """The one table writer: CSV (header, rows with floats at `%.17g`, then
-    the footer as `# key = value` lines; no meta) or JSON (`"meta"`: meta
-    then footer, `"columns"`: lists), to `out` or, when empty, stdout.
-    A path that cannot be written raises `ParameterError`.
+    """The one table writer: CSV (header, rows, then the footer as
+    `# key = value` lines; no meta) or JSON (`"meta"`: meta then footer,
+    `"columns"`: lists), to `out` or, when empty, stdout.  A path that
+    cannot be written raises `ParameterError`.
 
     The bytes are those of `json.dumps(payload, indent=2)` and of a
-    per-cell `%.17g` join; the CSV body is formatted by one `%` operation
-    and each JSON column by the C encoder."""
+    per-cell `%.17g` join: floats are `%.17g` in CSV and their shortest
+    round-trip repr in JSON.  The rows are formatted in blocks of at most
+    `_CACHE_BLOCK` cells, the floats of each block in one batch (see
+    `_column_cells`)."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    step = max(1, _CACHE_BLOCK // max(1, len(arrays)))
     if fmt == "json":
+        separator = ",\n      "  # between the items of a column, at its depth under indent=2
+        texts = [[] for _ in arrays]
+        for start in range(0, max(map(len, arrays), default=0), step):
+            for text, cells in zip(texts, _column_cells([a[start : start + step] for a in arrays], fmt)):
+                if cells.size:
+                    text.append(_joined(cells, separator.encode()))
         # the meta block without its closing "\n}", then the columns
         pieces = [json.dumps({"meta": {**meta, **footer}}, indent=2)[:-2], ',\n  "columns": {']
-        for i, (name, values) in enumerate(columns.items()):
-            pieces += [",\n    " if i else "\n    ", json.dumps(name), ": ", _json_column(values)]
+        for i, (name, text) in enumerate(zip(columns, texts)):
+            pieces += [",\n    " if i else "\n    ", json.dumps(name), ": "]
+            if text:
+                text[-1] = text[-1][: -len(separator)]
+                pieces += ["[\n      ", *text, "\n    ]"]
+            else:
+                pieces.append("[]")
         pieces.append("\n  }\n}\n" if columns else "}\n}\n")
         _write_text(pieces, out)
         return
-    cells, template = [], []
-    for values in map(np.asarray, columns.values()):
-        if values.dtype.kind == "f":  # one format for the whole column: the hot path
-            cells.append(values.tolist())
-            template.append("%.17g")
-        else:
-            cells.append([_format_value(v) for v in values.tolist()])
-            template.append("%s")
-    rows = min(map(len, cells), default=0)
+    rows = min(map(len, arrays), default=0)
+    ends = [b","] * (len(arrays) - 1) + [b"\n"]
     pieces = [",".join(columns), "\n"]
-    if rows:
-        body = "\n".join([",".join(template)] * rows)
-        pieces += [body % tuple(chain.from_iterable(zip(*cells))), "\n"]
+    for start in range(0, rows, step):
+        cells = _column_cells([a[start : min(start + step, rows)] for a in arrays], fmt)
+        pieces.append(_joined(np.stack(cells, axis=1), ends))
     pieces += [f"# {key} = {_format_value(value)}\n" for key, value in footer.items()]
     _write_text(pieces, out)
 

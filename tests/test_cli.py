@@ -1,12 +1,19 @@
 """CLI contract: table schemas, determinism, and exit codes."""
 
+import argparse
 import json
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from cdfpush import cdf_kumaraswamy, cli, ks_band
-from cdfpush.cli import _emit_table, main
+from cdfpush import cdf_kumaraswamy, cli, ks_band, run_verification
+from cdfpush.cli import _emit_table, _float_cells, main
+from cdfpush.distributions import _CACHE_BLOCK
 
 
 def run_cli(argv, capsys):
@@ -244,6 +251,53 @@ META = {"command": "iterate", "r": 3.7, "seed": None}
 FOOTER = {"all_pass": True, "ks": 0.25, "k": 3}
 
 
+def per_cell_join(columns, footer):
+    """The CSV reference: `%.17g` for a float, true or false for a bool and
+    str() for anything else, joined cell by cell."""
+
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return "%.17g" % v if isinstance(v, float) else str(v)
+
+    rows = zip(*([cell(v) for v in values] for values in columns.values()))
+    lines = [",".join(columns), *map(",".join, rows), *(f"# {k} = {cell(v)}" for k, v in footer.items())]
+    return "\n".join(lines) + "\n"
+
+
+def json_dumps(columns):
+    """The JSON reference: `json.dumps(payload, indent=2)`."""
+    payload = {
+        "meta": {**META, **FOOTER},
+        "columns": {name: np.asarray(values).tolist() for name, values in columns.items()},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def iterate_table(r, init, steps):
+    return cli._iterate_columns(argparse.Namespace(r=r, init=init, grid=4096), steps)
+
+
+@pytest.fixture(scope="module")
+def real_tables():
+    checks = run_verification(r=4.0, seed=0, n_samples=2000, grid=64)
+    names, values, thresholds, passed = zip(*map(astuple, checks))
+    statuses = ["PASS" if ok else "FAIL" for ok in passed]
+    # a row count that is no multiple of the writer's block of rows
+    rows = 2 * (_CACHE_BLOCK // 3) + 5
+    rng = np.random.default_rng(30)
+    return {
+        "uniform-r4": iterate_table(4.0, "uniform", 14),
+        "beta-r3.7": iterate_table(3.7, "beta:2.5,3.5", 8),
+        "verify": {"check": names, "value": values, "threshold": thresholds, "status": statuses},
+        "ragged-blocks": {
+            "x": rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-300, 300, rows),
+            "n": np.arange(rows),
+            "u": rng.random(rows),
+        },
+    }
+
+
 class TestTableWriter:
     """The writer's bytes are those of `json.dumps(payload, indent=2)` and
     of a per-cell `%.17g` join, written to stdout or to `--out`."""
@@ -263,11 +317,7 @@ class TestTableWriter:
         ids=["cells", "empty-column", "only-empty", "no-columns"],
     )
     def test_json_is_json_dumps(self, capsys, tmp_path, columns):
-        payload = {
-            "meta": {**META, **FOOTER},
-            "columns": {name: np.asarray(values).tolist() for name, values in columns.items()},
-        }
-        assert self._emitted(columns, "json", capsys, tmp_path) == json.dumps(payload, indent=2) + "\n"
+        assert self._emitted(columns, "json", capsys, tmp_path) == json_dumps(columns)
 
     def test_csv_is_the_per_cell_join(self, capsys, tmp_path):
         words = {True: "true", False: "false"}
@@ -280,10 +330,88 @@ class TestTableWriter:
         lines = [",".join(TABLE), *(",".join(row) for row in zip(*cells))]
         lines += ["# all_pass = true", "# ks = 0.25", "# k = 3"]
         assert self._emitted(TABLE, "csv", capsys, tmp_path) == "\n".join(lines) + "\n"
+        assert per_cell_join(TABLE, FOOTER) == "\n".join(lines) + "\n"
 
     def test_csv_without_rows(self, capsys, tmp_path):
         out = self._emitted({"x": np.array([]), "n": []}, "csv", capsys, tmp_path)
         assert out == "x,n\n# all_pass = true\n# ks = 0.25\n# k = 3\n"
+
+    def test_csv_stops_at_the_shortest_column(self, capsys, tmp_path):
+        columns = {"x": np.arange(5.0) / 3, "n": np.arange(3)}
+        assert self._emitted(columns, "csv", capsys, tmp_path) == per_cell_join(columns, FOOTER)
+        assert self._emitted(columns, "json", capsys, tmp_path) == json_dumps(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", ["beta-r3.7", "verify", "ragged-blocks"])
+    def test_real_tables(self, capsys, tmp_path, real_tables, table, fmt):
+        columns = real_tables[table]
+        expected = json_dumps(columns) if fmt == "json" else per_cell_join(columns, FOOTER)
+        assert self._emitted(columns, fmt, capsys, tmp_path) == expected
+
+
+def assert_cells(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _float_cells(values, False).tolist() == [("%.17g" % v).encode() for v in values.tolist()]
+    assert _float_cells(values, True).tolist() == [json.dumps(v).encode() for v in values.tolist()]
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate((np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)))
+
+
+class TestFloatCells:
+    """`_float_cells` gives the bytes of `'%.17g' % v` and of `json.dumps(v)`,
+    cell for cell."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item()),
+                st.floats(),  # leans on +-0, subnormals, NaN and +-inf
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_float64_bit_patterns(self, values):
+        assert_cells(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two
+            neighbours(10.0 ** np.arange(-30, 31)),  # 10**k and 1 ulp either side
+            2.0**53 + np.arange(-40, 41),  # integers around 2**53
+            2.0**54 + 2 * np.arange(-40, 41),
+            neighbours([1e15, 1e16, 1e17]),  # where %g and repr turn to exponents
+            [1e23, 5e-324, -5e-324, 1e-280, 1e280, 0.0, -0.0, 1.0, -1.0, 100.0, 1e-4, 1e-5],
+            np.arange(4097) / 4096,
+        ],
+        ids=["powers-of-two", "powers-of-ten", "near-2**53", "near-2**54", "exponent-switch", "named", "grid"],
+    )
+    def test_hard_cases(self, values):
+        assert_cells(values)
+
+    @pytest.mark.parametrize(
+        "value, cell",
+        [(2.0**-25, b"2.9802322387695312e-08"), (3 * 2.0**-25, b"8.9406967163085938e-08")],
+    )
+    def test_exact_ties_round_half_even(self, value, cell):
+        # 2**-25 = 2.98023223876953125e-08 exactly: 18 digits, the last a 5
+        assert _float_cells([value], False).tolist() == [cell]
+        assert_cells([value])
+
+    def test_the_fast_path_decides_real_cells(self, monkeypatch, real_tables):
+        # a helper that left every cell to Python would pass the tests above
+        left = []
+        python_cells = cli._python_cells
+        monkeypatch.setattr(
+            cli, "_python_cells", lambda values, shortest: left.extend(values) or python_cells(values, shortest)
+        )
+        values = np.concatenate(list(real_tables["uniform-r4"].values()))
+        assert_cells(values)
+        assert len(left) <= 0.01 * 2 * values.size
 
 
 class TestExitCodes:
@@ -320,6 +448,23 @@ class TestExitCodes:
         code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
         assert code == 2
         assert out == "" and err == "error: seed must be >= 0; got -1\n"
+
+    def test_a_stdout_closed_early_is_a_usage_error(self, head_1):
+        # `cdfpush iterate ... | head -1`: one `error:` line and exit 2, and no
+        # "Exception ignored" line from the interpreter's flush at exit
+        argv = ["iterate", "--r", "4", "--steps", "14", "--grid", "4096"]
+        code, line, err = head_1("-m", "cdfpush.cli", *argv)
+        assert line == "y," + ",".join(f"D{n}" for n in range(15)) + "\n"
+        assert code == 2 and err == "error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_a_full_stdout_is_a_usage_error(self, src_env):
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                [sys.executable, "-m", "cdfpush.cli", "iterate", "--steps", "2", "--grid", "8"],
+                stdout=full, stderr=subprocess.PIPE, env=src_env, text=True,
+            )
+        assert child.returncode == 2 and child.stderr == "error: cannot write stdout: No space left on device\n"
 
     def test_orbit_too_short(self, capsys):
         code, _, _ = run_cli(["simulate", "--steps", "100"], capsys)

@@ -66,7 +66,6 @@ def test_convergence_scan_rejects_bad_parameters(convergence_scan, capsys, bad):
     assert len(captured.err.splitlines()) == 1
 
 
-
 def test_convergence_scan_exits_3_on_a_numerical_failure(convergence_scan, capsys, monkeypatch):
     # a numerical-integrity failure, as `cdfpush` reports one: exit 3 and one line
     def failing(*args, **kwargs):
@@ -77,3 +76,10 @@ def test_convergence_scan_exits_3_on_a_numerical_failure(convergence_scan, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical integrity failure: no convergence\n"
+
+
+def test_convergence_scan_exits_2_when_stdout_closes_early(head_1):
+    # `convergence_scan.py ... | head -1` on a table past the pipe's 64 KiB
+    code, line, err = head_1(str(SCRIPTS / "convergence_scan.py"), "--n-max", "4000", "--grid", "64")
+    assert line == "n,to_uniform,to_kumaraswamy,to_arcsine\n"
+    assert code == 2 and err == "error: cannot write stdout: Broken pipe\n"
