@@ -204,8 +204,10 @@ def _float_cells(values, shortest: bool) -> np.ndarray:
     """The bytes of `'%.17g' % v` or, with `shortest`, of the JSON float repr
     `json.dumps(v)` for each float v of `values`, formed for the whole array
     at once.  Python formats the cells that the double-double cannot decide,
-    -0.0, NaN, +-inf and |v| outside `_FAST_RANGE`, so the bytes match by
-    construction; 0.0 and 1.0, which fill CDF tables, are constants."""
+    -0.0, NaN, +-inf, |v| outside `_FAST_RANGE` and |v| in [1, 1e16) (JSON)
+    or [1, 1e17) (CSV), which print without an exponent and with digits
+    before the dot, so the bytes match by construction; 0.0 and 1.0, which
+    fill CDF tables, are constants."""
     x = np.asarray(values, dtype=np.float64).ravel()
     groups, heads, tails = _cell_pieces()
     zero, one = (x == 0.0) & ~np.signbit(x), x == 1.0
@@ -213,28 +215,20 @@ def _float_cells(values, shortest: bool) -> np.ndarray:
     fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1]) & ~one
     a[~fast] = 1.0
     N, E, decided = _decimal(a, shortest)
-    fast &= decided
     plain = (E >= -4) & (E < 0)  # 0.ddd
     scientific = (E < -4) | (E >= (16 if shortest else 17))  # d.ddde-XX
+    fast &= decided & (plain | scientific)
     # the digits of N as "000d" and 16 more, or in scientific cells as "00d."
     # and 16 more, stripped of zeros (and of a dot) at both ends
     chars = groups[N[:, None] // [10**16, 10**12, 10**8, 10**4, 1] % 10**4].view(np.uint8)
     chars[scientific, 2] = chars[scientific, 3]
     chars[scientific, 3] = ord(".")
-    body = np.strings.strip(chars.view("S20").ravel(), b"0.")
+    body = np.char.strip(chars.view("S20").ravel(), b"0.")
     sign = np.signbit(x).astype(np.int64)
-    cells = np.strings.add(
-        np.strings.add(heads[sign, np.where(plain, -E, 0)], body),
+    cells = np.char.add(
+        np.char.add(heads[sign, np.where(plain, -E, 0)], body),
         tails[np.where(scientific, E - _EXPONENT_MIN, -1)],
     )
-    integral = fast & ~plain & ~scientific  # ddd.ddd, the dot after E + 1 digits
-    if integral.any():
-        cut = E[integral] + 1
-        padded = np.strings.ljust(body[integral], cut + shortest, b"0")  # 100, or 100.0 in JSON
-        fraction = np.strings.slice(padded, cut, None)
-        dot = np.where(np.strings.str_len(fraction) > 0, b".", b"")
-        whole = np.strings.add(heads[sign[integral], 0], np.strings.slice(padded, 0, cut))
-        cells[integral] = np.strings.add(np.strings.add(whole, dot), fraction)
     cells[zero] = b"0.0" if shortest else b"0"
     cells[one] = b"1.0" if shortest else b"1"
     left = ~(fast | zero | one)
@@ -284,7 +278,7 @@ def _column_cells(blocks: list[np.ndarray], fmt: str) -> list[np.ndarray]:
 def _joined(cells: np.ndarray, ends) -> str:
     """The cells in order, each followed by its end (broadcast over them).
     The NULs that pad the cells are dropped, so a cell must hold none."""
-    return np.strings.add(cells, ends).tobytes().translate(None, b"\0").decode()
+    return np.char.add(cells, ends).tobytes().translate(None, b"\0").decode()
 
 
 def _emit_table(columns: dict, meta: dict, footer: dict, fmt: str, out: str | None) -> None:
