@@ -485,14 +485,17 @@ def _exit_code(run) -> int:
     """The exit code of run(), a command: a usage error (`ParameterError`,
     `DomainError`) prints one `error:` line to stderr and gives 2, a
     numerical-integrity failure (`NumericsError`, `DegenerateOrbitError`,
-    `ResourceLimitError`) one `numerical integrity failure:` line and 3."""
+    `ResourceLimitError`, or a `MemoryError` such as NumPy raises for an
+    array too large to allocate) one `numerical integrity failure:` line
+    and 3."""
     try:
         return run()
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, DegenerateOrbitError, ResourceLimitError) as exc:
-        print(f"numerical integrity failure: {exc}", file=sys.stderr)
+    except (NumericsError, DegenerateOrbitError, ResourceLimitError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"numerical integrity failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICS
 
 

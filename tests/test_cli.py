@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdfpush import cdf_kumaraswamy, cli, ks_band, run_verification
+from cdfpush import cdf_kumaraswamy, cli, ks_band, run_verification, simulate
 from cdfpush.cli import _emit_table, _float_cells, main
 from cdfpush.distributions import _CACHE_BLOCK
 
@@ -465,6 +465,26 @@ class TestExitCodes:
                 stdout=full, stderr=subprocess.PIPE, env=src_env, text=True,
             )
         assert child.returncode == 2 and child.stderr == "error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "argv, target, error",
+        [
+            (["--mode", "orbit"], (simulate, "trajectory"), MemoryError("Unable to allocate 745. GiB")),
+            (["--mode", "ensemble"], (cli, "ensemble_push"), MemoryError()),
+        ],
+        ids=["orbit", "ensemble"],
+    )
+    def test_out_of_memory_is_a_numerical_failure(self, capsys, monkeypatch, argv, target, error):
+        # as `--steps 100000000000` fails, raised here: a real allocation of
+        # that size can succeed lazily under memory overcommit and then run
+        # for hours; a bare MemoryError has no message of its own
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(*target, failing)
+        code, out, err = run_cli(["simulate", *argv, "--grid", "16"], capsys)
+        assert code == 3 and out == ""
+        assert err == f"numerical integrity failure: {str(error) or 'out of memory'}\n"
 
     def test_orbit_too_short(self, capsys):
         code, _, _ = run_cli(["simulate", "--steps", "100"], capsys)

@@ -16,9 +16,10 @@ from cdfpush import (
     trajectory,
 )
 from cdfpush.distributions import _CACHE_BLOCK
-from cdfpush.simulate import DEGENERATE_SPAN, DEGENERATE_WINDOW, ERGODIC_X0_RANGE
+from cdfpush.simulate import _BLOCK, _FILL_ROWS, DEGENERATE_SPAN, DEGENERATE_WINDOW, ERGODIC_X0_RANGE
 
 map_params = st.floats(min_value=0.1, max_value=4.0)
+TINY = float(np.finfo(float).tiny)  # the least r the map accepts
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -80,28 +81,46 @@ class TestTrajectory:
         x = run.states
         assert np.array_equal(x[1:], 3.7 * x[:-1] * (1.0 - x[:-1]))
 
+    @staticmethod
+    def plain_loop(r, x0, steps, burn_in):
+        x = x0
+        for _ in range(burn_in):
+            x = r * x * (1.0 - x)
+        states = []
+        for _ in range(steps):
+            x = r * x * (1.0 - x)
+            states.append(x)
+        return np.array(states)
+
     @pytest.mark.parametrize("burn_in", [0, 1000])
-    @pytest.mark.parametrize("r", [4.0, 3.7, 2.0, 3.83])
+    @pytest.mark.parametrize("r", [4.0, 3.7, 2.0, 3.83, TINY])
     def test_states_are_the_plain_loop(self, r, burn_in):
-        # blocks of 16 states, with and without a scalar tail after them
-        block_edges = [(0.3, n) for n in (15, 16, 17, 31, 32, 33, 20_017)]
-        for x0, steps in [(0.3, 1), (0.3, 5000), (0.01, 5000), (0.77, 5000)] + block_edges:
-            x = x0
-            for _ in range(burn_in):
-                x = r * x * (1.0 - x)
-            expected = []
-            for _ in range(steps):
-                x = r * x * (1.0 - x)
-                expected.append(x)
+        # the edges of the blocks of _BLOCK states, of the fill's chunks of
+        # _FILL_ROWS blocks and of the scalar tail after them; the starts 0, 1/2,
+        # 1 and 5e-324 and r = TINY reach 1, 0 and subnormal states
+        chunk = _FILL_ROWS * _BLOCK
+        edges = (_BLOCK - 1, _BLOCK, _BLOCK + 1, chunk - 1, chunk, chunk + _BLOCK + 1, 20_017)
+        cases = [(0.3, 1), (0.3, 5000), (0.01, 5000), (0.77, 5000)] + [(0.3, n) for n in edges]
+        cases += [(x0, 3 * _BLOCK + 5) for x0 in (0.0, 0.5, 1.0, 5e-324)]
+        for x0, steps in cases:
             run = trajectory(r, x0, steps, burn_in=burn_in)
             assert run.states.dtype == np.float64
-            assert np.array_equal(run.states, np.array(expected))
+            assert np.array_equal(run.states, self.plain_loop(r, x0, steps, burn_in))
 
-    @pytest.mark.parametrize("steps", [1, 33])
+    @given(st.floats(min_value=TINY, max_value=4.0), unit_floats, st.integers(1, 3 * _BLOCK))
+    def test_any_short_orbit_is_the_plain_loop(self, r, x0, steps):
+        assert np.array_equal(trajectory(r, x0, steps, burn_in=0).states, self.plain_loop(r, x0, steps, 0))
+
+    def test_holds_one_array_of_states(self, traced_peak):
+        # the states and the fill's work buffer of 512 KiB: no list of
+        # states and no temporary of the orbit's size
+        n = 2_000_000
+        assert traced_peak(lambda: trajectory(4.0, 0.3, n, burn_in=0)) <= 8 * n + 2**20
+
+    @pytest.mark.parametrize("steps", [1, 33, _BLOCK + 1])
     def test_hit_of_one_is_degenerate(self, steps):
-        # 1/2 -> 1 -> 0, which is absorbing: with 33 steps both hits lie in
-        # the first block of 16 states, with 1 step the hit of 1 is the only
-        # state and the scalar tail records it
+        # 1/2 -> 1 -> 0, which is absorbing: with _BLOCK + 1 steps both hits
+        # lie in the first filled block, with 1 or 33 steps in the scalar tail
         run = trajectory(4.0, 0.5, steps, burn_in=0)
         assert run.states[0] == 1.0 and np.all(run.states[1:] == 0.0)
         assert run.degenerate and run.period == 0
