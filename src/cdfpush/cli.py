@@ -108,6 +108,7 @@ _FAST_RANGE = (1e-280, 1e280)  # neither split overflows here
 _POW10_MIN, _POW10_MAX = -265, 297  # 16 - E for E in [-281, 281]
 _EXPONENT_MIN = -281
 _FEW_FLOATS = 256  # Python formats fewer floats faster than _float_cells' 0.1 ms of fixed cost
+_FLOAT_CELL = "S24"  # the widest float cell, "-2.2250738585072014e-308"; a set width saves a pass
 
 
 @functools.cache
@@ -200,6 +201,20 @@ def _decimal(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.
     return N, E + carry, decided
 
 
+def _digits(N: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The 17 digits of each N in [1e16, 1e17) as "000d" and four groups of
+    4, one row of 20 bytes each, from the uint32 `groups` "0000".."9999".
+    NumPy divides by a scalar far faster than by a broadcast array, so N is
+    split by scalars; the temporaries are freed on return."""
+    high = N // 10**8
+    lead = high // 10**8
+    quads = [groups.take(lead)]
+    for rest in (high - lead * 10**8, N - high * 10**8):
+        q = rest // 10**4
+        quads += [groups.take(q), groups.take(rest - q * 10**4)]
+    return np.stack(quads, axis=1).view(np.uint8)
+
+
 def _float_cells(values, shortest: bool) -> np.ndarray:
     """The bytes of `'%.17g' % v` or, with `shortest`, of the JSON float repr
     `json.dumps(v)` for each float v of `values`, formed for the whole array
@@ -220,7 +235,7 @@ def _float_cells(values, shortest: bool) -> np.ndarray:
     fast &= decided & (plain | scientific)
     # the digits of N as "000d" and 16 more, or in scientific cells as "00d."
     # and 16 more, stripped of zeros (and of a dot) at both ends
-    chars = groups[N[:, None] // [10**16, 10**12, 10**8, 10**4, 1] % 10**4].view(np.uint8)
+    chars = _digits(N, groups)
     chars[scientific, 2] = chars[scientific, 3]
     chars[scientific, 3] = ord(".")
     body = np.char.strip(chars.view("S20").ravel(), b"0.")
@@ -240,6 +255,7 @@ def _float_cells(values, shortest: bool) -> np.ndarray:
 # the C JSON encoder with a NUL between the items of a list: JSON text
 # escapes every control character, so the NULs split it into the items
 _JSON_CELLS = json.JSONEncoder(separators=("\0", ": "))
+_JSON_META = json.JSONEncoder(indent=2)  # json.dumps(..., indent=2)
 
 
 def _python_cells(values: list, shortest: bool) -> list[bytes]:
@@ -254,31 +270,52 @@ def _python_cells(values: list, shortest: bool) -> list[bytes]:
 def _column_cells(blocks: list[np.ndarray], fmt: str) -> list[np.ndarray]:
     """The cells of each 1-D array of `blocks` as bytes: the float arrays go
     to `_float_cells` as one batch, or under `_FEW_FLOATS` of them to
-    `_python_cells`; other values to `_format_value` (CSV) or the JSON
+    `_python_cells`; integers to NumPy's bytes, which are str(v) as in
+    both formats; other values to `_format_value` (CSV) or the JSON
     encoder."""
     shortest = fmt == "json"
     floats = [block for block in blocks if block.dtype.kind == "f"]
     if floats:
-        values = np.concatenate(floats)
+        values = floats[0] if len(floats) == 1 else np.concatenate(floats)
         if values.size < _FEW_FLOATS:
-            cells = np.array(_python_cells(values.tolist(), shortest), dtype=bytes)
+            cells = np.array(_python_cells(values.tolist(), shortest), dtype=_FLOAT_CELL)
         else:
             cells = _float_cells(values, shortest)
         ends = itertools.accumulate(block.size for block in floats)
         batch = (cells[end - block.size : end] for block, end in zip(floats, ends))
 
-    def other(values: list) -> list[bytes]:
-        return _python_cells(values, True) if shortest else [_format_value(v).encode() for v in values]
+    def other(block: np.ndarray) -> np.ndarray:
+        if block.dtype.kind in "iu":
+            return block.astype(bytes)
+        values = block.tolist()
+        cells = _python_cells(values, True) if shortest else [_format_value(v).encode() for v in values]
+        return np.array(cells, dtype=bytes)
 
-    return [
-        next(batch) if block.dtype.kind == "f" else np.array(other(block.tolist()), dtype=bytes) for block in blocks
-    ]
+    return [next(batch) if block.dtype.kind == "f" else other(block) for block in blocks]
 
 
-def _joined(cells: np.ndarray, ends) -> str:
-    """The cells in order, each followed by its end (broadcast over them).
-    The NULs that pad the cells are dropped, so a cell must hold none."""
-    return np.char.add(cells, ends).tobytes().translate(None, b"\0").decode()
+def _distinct(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """The arrays less the float64 ones that repeat an earlier one bit for
+    bit, and for each array the position of its first copy among them.
+    Equal bits give equal cells, while 0.0 and -0.0, or two NaN payloads,
+    differ in bits and are never shared."""
+    distinct, slots, seen = [], [], {}  # seen: the slots of the float64 arrays by size and middle bits
+    for a in arrays:
+        slot = len(distinct)
+        if a.dtype == np.float64 and a.size:
+            # one element first, the middle one: CDF columns all share their ends, 0 and 1
+            bits = a.view(np.uint64)
+            key = (bits.size, bits.item(bits.size // 2))
+            for k in seen.get(key, ()):
+                if np.array_equal(distinct[k].view(np.uint64), bits):
+                    slot = k
+                    break
+            else:
+                seen.setdefault(key, []).append(slot)
+        if slot == len(distinct):
+            distinct.append(a)
+        slots.append(slot)
+    return distinct, slots
 
 
 def _emit_table(columns: dict, meta: dict, footer: dict, fmt: str, out: str | None) -> None:
@@ -291,34 +328,35 @@ def _emit_table(columns: dict, meta: dict, footer: dict, fmt: str, out: str | No
     per-cell `%.17g` join: floats are `%.17g` in CSV and their shortest
     round-trip repr in JSON.  The rows are formatted in blocks of at most
     `_CACHE_BLOCK` cells, the floats of each block in one batch (see
-    `_column_cells`)."""
-    arrays = [np.asarray(values) for values in columns.values()]
-    step = max(1, _CACHE_BLOCK // max(1, len(arrays)))
+    `_column_cells`); a float column that repeats an earlier one bit for
+    bit reuses its cells (see `_distinct`)."""
+    arrays, slots = _distinct([np.asarray(values) for values in columns.values()])
+    step = max(1, _CACHE_BLOCK // max(1, len(slots)))
     if fmt == "json":
-        separator = ",\n      "  # between the items of a column, at its depth under indent=2
-        texts = [[] for _ in arrays]
+        separator = b",\n      "  # between the items of a column, at its depth under indent=2
+        items = [[] for _ in arrays]  # each column's items, joined a block at a time
         for start in range(0, max(map(len, arrays), default=0), step):
-            for text, cells in zip(texts, _column_cells([a[start : start + step] for a in arrays], fmt)):
+            for joined, cells in zip(items, _column_cells([a[start : start + step] for a in arrays], fmt)):
                 if cells.size:
-                    text.append(_joined(cells, separator.encode()))
+                    joined.append(separator.join(cells.tolist()))  # tolist drops the NUL padding
+        texts = [separator.join(joined).decode() for joined in items]
         # the meta block without its closing "\n}", then the columns
-        pieces = [json.dumps({"meta": {**meta, **footer}}, indent=2)[:-2], ',\n  "columns": {']
-        for i, (name, text) in enumerate(zip(columns, texts)):
+        pieces = [_JSON_META.encode({"meta": {**meta, **footer}})[:-2], ',\n  "columns": {']
+        for i, (name, slot) in enumerate(zip(columns, slots)):
             pieces += [",\n    " if i else "\n    ", json.dumps(name), ": "]
-            if text:
-                text[-1] = text[-1][: -len(separator)]
-                pieces += ["[\n      ", *text, "\n    ]"]
-            else:
-                pieces.append("[]")
+            pieces += ["[\n      ", texts[slot], "\n    ]"] if texts[slot] else ["[]"]
         pieces.append("\n  }\n}\n" if columns else "}\n}\n")
         _write_text(pieces, out)
         return
     rows = min(map(len, arrays), default=0)
-    ends = [b","] * (len(arrays) - 1) + [b"\n"]
+    ends = [b","] * (len(slots) - 1) + [b"\n"]
     pieces = [",".join(columns), "\n"]
     for start in range(0, rows, step):
         cells = _column_cells([a[start : min(start + step, rows)] for a in arrays], fmt)
-        pieces.append(_joined(np.stack(cells, axis=1), ends))
+        # np.stack's Python overhead shows on a few rows; C order keeps tobytes to one copy
+        rows_of_cells = np.ascontiguousarray(np.array([cells[slot] for slot in slots]).T)
+        # each cell followed by its end, less the NULs that pad the cells (a cell holds none)
+        pieces.append(np.char.add(rows_of_cells, ends).tobytes().translate(None, b"\0").decode())
     pieces += [f"# {key} = {_format_value(value)}\n" for key, value in footer.items()]
     _write_text(pieces, out)
 

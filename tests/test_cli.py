@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdfpush import cdf_kumaraswamy, cli, ks_band, run_verification, simulate
+from cdfpush import cdf_beta, cdf_kumaraswamy, cli, ks_band, run_verification, simulate
 from cdfpush.cli import _emit_table, _float_cells, main
 from cdfpush.distributions import _CACHE_BLOCK
 
@@ -286,8 +286,13 @@ def real_tables():
     # a row count that is no multiple of the writer's block of rows
     rows = 2 * (_CACHE_BLOCK // 3) + 5
     rng = np.random.default_rng(30)
+    # the figure's columns as `cdfpush figure` builds them: y, D0 and U are the grid
+    figure = iterate_table(4.0, "uniform", 4)
+    grid = figure["y"]
+    figure.update(U=grid.copy(), K=cdf_kumaraswamy(0.5, 0.5, grid), B=cdf_beta(0.5, 0.5, grid))
     return {
         "uniform-r4": iterate_table(4.0, "uniform", 14),
+        "figure": figure,
         "beta-r3.7": iterate_table(3.7, "beta:2.5,3.5", 8),
         "verify": {"check": names, "value": values, "threshold": thresholds, "status": statuses},
         "ragged-blocks": {
@@ -342,11 +347,36 @@ class TestTableWriter:
         assert self._emitted(columns, "json", capsys, tmp_path) == json_dumps(columns)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("table", ["beta-r3.7", "verify", "ragged-blocks"])
+    @pytest.mark.parametrize("table", ["beta-r3.7", "verify", "ragged-blocks", "figure"])
     def test_real_tables(self, capsys, tmp_path, real_tables, table, fmt):
         columns = real_tables[table]
         expected = json_dumps(columns) if fmt == "json" else per_cell_join(columns, FOOTER)
         assert self._emitted(columns, fmt, capsys, tmp_path) == expected
+
+    def test_the_figure_formats_its_grid_once(self, real_tables):
+        columns = real_tables["figure"]
+        assert list(columns) == ["y", "D0", "D1", "D2", "D3", "D4", "U", "K", "B"]
+        bits = [np.asarray(values).view(np.uint64) for values in columns.values()]
+        assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[6])
+        distinct, slots = cli._distinct(list(columns.values()))
+        assert slots == [0, 0, 1, 2, 3, 4, 0, 5, 6]
+        assert len(distinct) == 7
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_equal_in_value_but_not_in_bits(self, capsys, tmp_path, fmt):
+        # 0.0 against -0.0 off the middle row, which the two columns share, so
+        # only the full comparison by bits tells them apart; -DBL_MIN is the
+        # widest float cell, 24 bytes
+        a = np.array([0.25, 0.0, 0.5, -2.2250738585072014e-308, 1.0])
+        columns = {"a": a, "b": np.where(a == 0.0, -0.0, a)}
+        out = self._emitted(columns, fmt, capsys, tmp_path)
+        if fmt == "csv":
+            assert out.splitlines()[2] == "0,-0"
+            assert out == per_cell_join(columns, FOOTER)
+        else:
+            assert '"a": [\n      0.25,\n      0.0,' in out
+            assert '"b": [\n      0.25,\n      -0.0,' in out
+            assert out == json_dumps(columns)
 
 
 def assert_cells(values):
@@ -358,6 +388,20 @@ def assert_cells(values):
 def neighbours(values):
     values = np.asarray(values, dtype=np.float64)
     return np.concatenate((np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)))
+
+
+def group_edges():
+    """Floats whose 17 digits hold a run of 0s or 9s across each edge of the
+    4-digit groups (after digits 1, 5, 9 and 13), or 8 of them across the
+    middle, as plain (0.ddd) and scientific cells, with their neighbours."""
+    base = "31415926535897932"
+    digits = {"99999999999999999", "10000000000000000"}
+    for run in ("0000", "9999", "00000000", "99999999"):
+        for start in range(18 - len(run)):
+            if start or run[0] == "9":
+                digits.add(base[:start] + run + base[start + len(run) :])
+    values = [float(f"{d[0]}.{d[1:]}e{e}") for d in sorted(digits) for e in (-1, -7, -200, 20)]
+    return neighbours(values)
 
 
 class TestFloatCells:
@@ -380,6 +424,9 @@ class TestFloatCells:
     @pytest.mark.parametrize(
         "values",
         [
+            group_edges(),
+            [np.nextafter(1.0, 0.0)],  # the largest double below 1, 0.99999999999999989
+            neighbours([1e-5, 1e-4, 0.1, 0.5]),
             np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two
             neighbours(10.0 ** np.arange(-30, 31)),  # 10**k and 1 ulp either side
             2.0**53 + np.arange(-40, 41),  # integers around 2**53
@@ -388,7 +435,18 @@ class TestFloatCells:
             [1e23, 5e-324, -5e-324, 1e-280, 1e280, 0.0, -0.0, 1.0, -1.0, 100.0, 1e-4, 1e-5],
             np.arange(4097) / 4096,
         ],
-        ids=["powers-of-two", "powers-of-ten", "near-2**53", "near-2**54", "exponent-switch", "named", "grid"],
+        ids=[
+            "group-edges",
+            "below-one",
+            "plain-ends",
+            "powers-of-two",
+            "powers-of-ten",
+            "near-2**53",
+            "near-2**54",
+            "exponent-switch",
+            "named",
+            "grid",
+        ],
     )
     def test_hard_cases(self, values):
         assert_cells(values)
