@@ -93,8 +93,8 @@ def _write_text(pieces: list[str], out: str | None) -> None:
         raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-# Float cells.  A float x > 0 is y * 10**(E - 16) with y = x * 10**(16 - E) in
-# [1e16, 1e17).  y is formed in double-double: Dekker's exact product (Numer.
+# Float cells.  A float x in (0, 1) is y * 10**(E - 16) with y = x * 10**(16 - E)
+# in [1e16, 1e17).  y is formed in double-double: Dekker's exact product (Numer.
 # Math. 18, 1971) of x and the double nearest 10**(16 - E), plus x times that
 # power's remainder, gives y = p + e with p an integer and |e| < 32, off by
 # about 2**-46.  The 17 digits of `%.17g` are y rounded half to even.  Those of
@@ -104,8 +104,8 @@ def _write_text(pieces: list[str], out: str | None) -> None:
 # double-double, Python formats the cell.
 _UNDECIDED = 2.0**-30
 _SPLITTER = 2.0**27 + 1  # Veltkamp: c - (c - v) with c = _SPLITTER * v is v's upper 26 bits
-_FAST_RANGE = (1e-280, 1e280)  # neither split overflows here
-_POW10_MIN, _POW10_MAX = -265, 297  # 16 - E for E in [-281, 281]
+_FAST_MIN = 1e-280  # from here up, 10**(16 - E) and its split stay finite
+_POW10_MIN, _POW10_MAX = 16, 297  # 16 - E for E in [-281, 0]: log10 may put x just below 1 at E = 0
 _EXPONENT_MIN = -281
 _FEW_FLOATS = 256  # Python formats fewer floats faster than _float_cells' 0.1 ms of fixed cost
 _FLOAT_CELL = "S24"  # the widest float cell, "-2.2250738585072014e-308"; a set width saves a pass
@@ -118,13 +118,8 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
     integer arithmetic."""
     hi, lo = [], []
     for k in range(_POW10_MIN, _POW10_MAX + 1):
-        if k >= 0:
-            hi.append(float(10**k))  # int to float rounds to nearest
-            lo.append(float(10**k - int(hi[-1])))
-        else:
-            hi.append(1 / 10**-k)  # and so does int / int
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * 10**-k) / (den * 10**-k))
+        hi.append(float(10**k))  # int to float rounds to nearest
+        lo.append(float(10**k - int(hi[-1])))
     hi, lo = np.array(hi), np.array(lo)
     c = _SPLITTER * hi
     upper = c - (c - hi)
@@ -133,12 +128,12 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _cell_pieces() -> tuple[np.ndarray, ...]:
-    """The 4-digit groups "0000".."9999" as uint32; the cell heads "", "0.",
-    .., "0.000", each also after "-"; and the exponent tails "e-281"..
-    "e+281", then ""."""
+    """The 4-digit groups "0000".."9999" as uint32; the cell heads "" (of a
+    scientific cell) and "0.", .., "0.000" (of a cell in [1e-4, 1)); and the
+    exponent tails "e-281".."e-05", then ""."""
     groups = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    heads = np.array([[sign + lead for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")] for sign in (b"", b"-")])
-    tails = np.array([f"e{e:+03d}".encode() for e in range(_EXPONENT_MIN, 1 - _EXPONENT_MIN)] + [b""])
+    heads = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"])
+    tails = np.array([f"e{e:03d}".encode() for e in range(_EXPONENT_MIN, -4)] + [b""])
     return groups.view(np.uint32).ravel(), heads, tails
 
 
@@ -155,10 +150,10 @@ def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decimal(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, E, decided) for floats x > 0 in `_FAST_RANGE`: N * 10**(E - 16),
-    N in [1e16, 1e17), is x to 17 digits or, with `shortest`, to its
-    shortest round-trip digits; `decided` is False where the double-double
-    cannot tell (see the comment above `_UNDECIDED`)."""
+    """(N, E, decided) for floats x in [`_FAST_MIN`, 1): N * 10**(E - 16),
+    N in [1e16, 1e17) and E in [-281, -1], is x to 17 digits or, with
+    `shortest`, to its shortest round-trip digits; `decided` is False where
+    the double-double cannot tell (see the comment above `_UNDECIDED`)."""
     E = np.floor(np.log10(x)).astype(np.int64)
     p, e = _scaled(x, 16 - E)
     # log10 may be one off next to a power of ten: put y in [1e16, 1e17)
@@ -217,31 +212,26 @@ def _digits(N: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 def _float_cells(values, shortest: bool) -> np.ndarray:
     """The bytes of `'%.17g' % v` or, with `shortest`, of the JSON float repr
-    `json.dumps(v)` for each float v of `values`, formed for the whole array
-    at once.  Python formats the cells that the double-double cannot decide,
-    -0.0, NaN, +-inf, |v| outside `_FAST_RANGE` and |v| in [1, 1e16) (JSON)
-    or [1, 1e17) (CSV), which print without an exponent and with digits
-    before the dot, so the bytes match by construction; 0.0 and 1.0, which
-    fill CDF tables, are constants."""
+    `json.dumps(v)` for each float v of `values`.  The cells of v in
+    [`_FAST_MIN`, 1), where every float cell of a CLI table but 0 and 1
+    lies, are formed for the whole array at once, as 0.ddd or d.ddde-XX;
+    0.0 and 1.0 are constants; Python formats every other cell and those
+    the double-double cannot decide, so their bytes match by construction."""
     x = np.asarray(values, dtype=np.float64).ravel()
     groups, heads, tails = _cell_pieces()
-    zero, one = (x == 0.0) & ~np.signbit(x), x == 1.0
-    a = np.abs(x)
-    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1]) & ~one
-    a[~fast] = 1.0
-    N, E, decided = _decimal(a, shortest)
-    plain = (E >= -4) & (E < 0)  # 0.ddd
-    scientific = (E < -4) | (E >= (16 if shortest else 17))  # d.ddde-XX
-    fast &= decided & (plain | scientific)
+    zero, one = x.view(np.uint64) == 0, x == 1.0  # the bits of 0.0, not of -0.0, are all 0
+    fast = (x >= _FAST_MIN) & (x < 1.0)
+    N, E, decided = _decimal(np.where(fast, x, 0.5), shortest)  # 0.5 stands in for a cell formed elsewhere
+    fast &= decided
+    scientific = E < -4  # d.ddde-XX, else 0.ddd
     # the digits of N as "000d" and 16 more, or in scientific cells as "00d."
     # and 16 more, stripped of zeros (and of a dot) at both ends
     chars = _digits(N, groups)
     chars[scientific, 2] = chars[scientific, 3]
     chars[scientific, 3] = ord(".")
     body = np.char.strip(chars.view("S20").ravel(), b"0.")
-    sign = np.signbit(x).astype(np.int64)
     cells = np.char.add(
-        np.char.add(heads[sign, np.where(plain, -E, 0)], body),
+        np.char.add(heads[np.where(scientific, 0, -E)], body),
         tails[np.where(scientific, E - _EXPONENT_MIN, -1)],
     )
     cells[zero] = b"0.0" if shortest else b"0"

@@ -434,6 +434,9 @@ class TestFloatCells:
             neighbours([1e15, 1e16, 1e17]),  # where %g and repr turn to exponents
             [1e23, 5e-324, -5e-324, 1e-280, 1e280, 0.0, -0.0, 1.0, -1.0, 100.0, 1e-4, 1e-5],
             np.arange(4097) / 4096,
+            # the edges of the vectorized range [1e-280, 1), and 1 + 2 ulp, a
+            # level of the exact kernel that is not capped at 1
+            neighbours([1e-280, 1.0000000000000004, -1e-5, -0.25, -1e-300]),
         ],
         ids=[
             "group-edges",
@@ -446,6 +449,7 @@ class TestFloatCells:
             "exponent-switch",
             "named",
             "grid",
+            "range-edges",
         ],
     )
     def test_hard_cases(self, values):
@@ -461,15 +465,19 @@ class TestFloatCells:
         assert_cells([value])
 
     def test_the_fast_path_decides_real_cells(self, monkeypatch, real_tables):
-        # a helper that left every cell to Python would pass the tests above
+        # a helper that left every cell to Python would pass the tests above,
+        # and so would a range that sent real cells, such as the beta table's
+        # scientific ones (23.5 % of its cells), down that slow path
         left = []
         python_cells = cli._python_cells
         monkeypatch.setattr(
             cli, "_python_cells", lambda values, shortest: left.extend(values) or python_cells(values, shortest)
         )
-        values = np.concatenate(list(real_tables["uniform-r4"].values()))
-        assert_cells(values)
-        assert len(left) <= 0.01 * 2 * values.size
+        for table in ("uniform-r4", "beta-r3.7", "figure"):
+            left.clear()
+            values = np.concatenate(list(real_tables[table].values()))
+            assert_cells(values)
+            assert len(left) <= 0.01 * 2 * values.size, table
 
 
 class TestExitCodes:
